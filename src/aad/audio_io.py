@@ -9,13 +9,13 @@ with ``abnormal`` directories holding the anomaly-labeled recordings.
 
 from __future__ import annotations
 
-import warnings
+import os
+import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import (
     ContractError,
@@ -34,6 +34,13 @@ MACHINE_TYPES = ("fan", "pump", "slider", "valve", "synthetic")
 _SYNTH_HARMONICS = ((120.0, 0.45), (240.0, 0.27), (360.0, 0.18))
 _SYNTH_NOISE = 0.01
 _ANOMALY_KINDS = ("burst", "detune", "dropout")
+
+# WAVE format tags and the sample types read_wav accepts under them.
+_WAVE_PCM = 1
+_WAVE_FLOAT = 3
+_WAVE_EXTENSIBLE = 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_SAMPLE_TYPES = {(_WAVE_PCM, 16): np.dtype("<i2"), (_WAVE_FLOAT, 32): np.dtype("<f4")}
 
 
 @dataclass
@@ -86,54 +93,101 @@ class DatasetIndex:
         return len(self.entries)
 
 
+def _read_fmt(body: bytes, path: Path) -> tuple[int, int, np.dtype]:
+    """Parse a fmt chunk into (channels, sample rate, sample dtype)."""
+    if len(body) < 16:
+        raise FormatError(f"{path}: fmt chunk is {len(body)} bytes; expected at least 16")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", body)
+    if tag == _WAVE_EXTENSIBLE:
+        if len(body) < 40:
+            raise FormatError(f"{path}: extensible fmt chunk is {len(body)} bytes; "
+                              "expected at least 40")
+        if body[28:40] == _GUID_TAIL:
+            tag = struct.unpack_from("<I", body, 24)[0]
+    if channels < 1:
+        raise FormatError(f"{path}: fmt chunk declares {channels} channels")
+    if tag == _WAVE_PCM and byte_rate != rate * block_align:
+        raise FormatError(f"{path}: byte rate {byte_rate} != sample rate {rate} "
+                          f"* block align {block_align}")
+    dtype = _SAMPLE_TYPES.get((tag, bits))
+    if dtype is None or block_align != channels * dtype.itemsize:
+        raise UnsupportedFormatError(
+            f"{path}: unsupported sample encoding (format tag {tag:#x}, "
+            f"{bits}-bit, block align {block_align}); "
+            "expected PCM 16-bit or IEEE float 32-bit"
+        )
+    return channels, rate, dtype
+
+
 def read_wav(path: str | Path) -> AudioClip:
     """Read a RIFF/WAVE file (PCM16 or float32) as a mono clip in [-1, 1].
 
     Multi-channel audio is averaged down to mono. PCM16 samples are scaled
-    by 2**15.
+    by 2**15. Chunks other than fmt and data are skipped; a data chunk cut
+    short yields the whole frames present.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(12)
-    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
-        raise FormatError(f"{path}: not a RIFF/WAVE file")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy chunk warnings
-            rate, data = wavfile.read(str(path))
-    except ValueError as exc:
-        msg = str(exc).lower()
-        if "unknown" in msg or "unsupported" in msg or "format" in msg:
-            raise UnsupportedFormatError(f"{path}: {exc}") from exc
-        raise FormatError(f"{path}: {exc}") from exc
-    except Exception as exc:  # truncated chunks surface as struct errors
-        raise FormatError(f"{path}: {exc}") from exc
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise FormatError(f"{path}: not a RIFF/WAVE file")
+        fmt = None
+        while True:
+            chunk = fh.read(8)
+            if len(chunk) < 8:
+                raise FormatError(f"{path}: no data chunk")
+            chunk_id, size = struct.unpack("<4sI", chunk)
+            if chunk_id == b"data":
+                break
+            skip = size + (size & 1)  # odd chunks carry a pad byte
+            if chunk_id == b"fmt ":
+                body = fh.read(min(size, 40))
+                if len(body) < min(size, 40):
+                    raise FormatError(f"{path}: fmt chunk cut short")
+                fmt = _read_fmt(body, path)
+                skip -= len(body)
+            fh.seek(skip, 1)
+        if fmt is None:
+            raise FormatError(f"{path}: no fmt chunk before data")
+        channels, rate, dtype = fmt
+        present = os.fstat(fh.fileno()).st_size - fh.tell()
+        frames = min(size, present) // (channels * dtype.itemsize)
+        data = np.fromfile(fh, dtype=dtype, count=frames * channels)
 
-    if data.dtype == np.int16:
-        samples = data.astype(np.float32) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data
-    else:
-        raise UnsupportedFormatError(
-            f"{path}: unsupported sample encoding {data.dtype}; "
-            "expected PCM 16-bit or IEEE float 32-bit"
-        )
-    if samples.ndim > 1:
+    samples = data.astype(np.float32) / 32768.0 if dtype == np.int16 else data
+    if channels > 1:
+        samples = samples.reshape(frames, channels)
         samples = samples.mean(axis=1, dtype=np.float64).astype(np.float32)
     return AudioClip(samples=samples, sample_rate=int(rate), source_path=str(path))
 
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int,
               encoding: str = "float32") -> None:
-    """Write mono samples as a WAV file, float32 (default) or pcm16."""
+    """Write mono samples as a WAV file, float32 (default) or pcm16.
+
+    Float files carry the 18-byte fmt chunk and the fact chunk that
+    non-PCM WAVE requires; the bytes match ``scipy.io.wavfile.write``.
+    """
     samples = np.asarray(samples)
     if encoding == "float32":
-        wavfile.write(str(path), sample_rate, samples.astype("<f4"))
+        data, tag, fmt_tail = samples.astype("<f4"), _WAVE_FLOAT, b"\x00\x00"
     elif encoding == "pcm16":
         q = np.clip(np.round(samples.astype(np.float64) * 32768.0), -32768, 32767)
-        wavfile.write(str(path), sample_rate, q.astype("<i2"))
+        data, tag, fmt_tail = q.astype("<i2"), _WAVE_PCM, b""
     else:
         raise ContractError(f"unknown encoding {encoding!r}")
+    channels = 1 if data.ndim == 1 else data.shape[1]
+    block_align = channels * data.itemsize
+    fmt = struct.pack("<HHIIHH", tag, channels, sample_rate, sample_rate * block_align,
+                      block_align, 8 * data.itemsize) + fmt_tail
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    if tag == _WAVE_FLOAT:
+        chunks += b"fact" + struct.pack("<II", 4, data.shape[0])
+    chunks += b"data" + struct.pack("<I", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 4 + len(chunks) + data.nbytes) + b"WAVE")
+        fh.write(chunks)
+        fh.write(data.tobytes())
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:

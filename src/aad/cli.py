@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import NORMAL, SynthConfig, scan_dataset, split_index, synth_generate
-from .errors import AadError, ContractError
+from .errors import AadError, ContractError, FormatError
 from .evaluation import EvalConfig, emit_report, evaluate_dataset
 from .features import FeatureConfig, dataset_features, save_features, stream_windows
 from .models import build, checkpoint_load, default_spec
@@ -269,13 +269,31 @@ def cmd_embed(args) -> int:
 
 
 def _raw_chunk_reader(fh, out_queue: queue.Queue) -> None:
-    """Producer: raw float32 LE mono samples to a bounded queue."""
-    while True:
-        raw = fh.read(_STREAM_CHUNK * 4)
-        if not raw:
-            break
-        out_queue.put(np.frombuffer(raw, dtype="<f4"))
-    out_queue.put(None)
+    """Producer: raw float32 LE mono samples to a bounded queue.
+
+    Bytes of a sample split across two reads are carried to the next read.
+    The last item queued is always the end marker: None at a clean end of
+    input, otherwise the exception that stopped the reader.
+    """
+    end = None
+    try:
+        carry = b""
+        while True:
+            raw = fh.read(_STREAM_CHUNK * 4)
+            if not raw:
+                break
+            raw = carry + raw
+            whole = len(raw) - len(raw) % 4
+            carry = raw[whole:]
+            if whole:
+                out_queue.put(np.frombuffer(raw, dtype="<f4", count=whole // 4))
+        if carry:
+            raise FormatError(f"input ends with {len(carry)} stray bytes; "
+                              "expected whole float32 samples")
+    except Exception as exc:
+        end = exc
+    finally:
+        out_queue.put(end)
 
 
 def cmd_stream(args) -> int:
@@ -295,6 +313,8 @@ def cmd_stream(args) -> int:
             chunk = chunk_queue.get()
             if chunk is None:
                 return
+            if isinstance(chunk, Exception):
+                raise chunk
             yield chunk
 
     total_samples = 0
@@ -312,7 +332,7 @@ def cmd_stream(args) -> int:
         for window in stream_windows(counting(), sample_rate, features,
                                      window_s=args.window_s, hop_s=args.hop_s):
             score = anomaly_score(*model.reconstruct_features(window.features))
-            print(f"{window.end_s:.3f}, {score!r}, {decide(score, tau)}")
+            print(f"{window.end_s:.3f}, {score!r}, {decide(score, tau)}", flush=True)
             n_windows += 1
     finally:
         if args.input:

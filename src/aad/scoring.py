@@ -85,8 +85,11 @@ def select_threshold(normal_scores: Sequence[float], max_fpr: float = 0.10) -> f
 
 
 def decide(score: float, tau: float) -> str:
-    """Anomaly iff the score strictly exceeds the threshold; ties are normal."""
-    return ANOMALY if score > tau else NORMAL
+    """Normal iff the score is at most the threshold; ties are normal.
+
+    A NaN score (or threshold) compares false, so it reads anomaly.
+    """
+    return NORMAL if score <= tau else ANOMALY
 
 
 def write_scores_csv(records: Sequence[ScoreRecord], path: str | Path,

@@ -188,17 +188,14 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _shifted(x: np.ndarray, s: int) -> np.ndarray:
-    """Shift along the last axis: out[..., t] = x[..., t - s], zero-filled."""
-    out = np.zeros_like(x)
-    t = x.shape[-1]
-    if s >= t or s <= -t:
-        return out
-    if s >= 0:
-        out[..., s:] = x[..., :t - s]
-    else:
-        out[..., :t + s] = x[..., -s:]
-    return out
+def _tap_slices(s: int, t: int) -> tuple[slice, slice]:
+    """Time slices a tap of shift s joins: out[..., o] reads in[..., i]."""
+    return slice(max(s, 0), t + min(s, 0)), slice(max(-s, 0), t - max(s, 0))
+
+
+def _channels_major(a: np.ndarray) -> np.ndarray:
+    """(batch, ch, T) -> contiguous (ch, batch, T), the layout of the tap GEMMs."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2))
 
 
 def conv1d_causal(x: Tensor, w: Tensor, dilation: int = 1,
@@ -210,38 +207,50 @@ def conv1d_causal(x: Tensor, w: Tensor, dilation: int = 1,
     y(t) = sum_j w(j) * x(t - j*dilation) and no output reads the future.
     With causal=False the taps are centered (odd k), for decoders that
     reconstruct complete windows.
+
+    Each tap is one GEMM over the (in_ch, batch*T) view of the input whose
+    product is added at the tap's time shift; a tap shifted by T or more
+    reads only padding and is skipped. The backward pass recomputes that
+    view rather than keeping it alive.
     """
     if dilation < 1:
         raise ContractError("dilation must be >= 1")
     if x.data.ndim != 3 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: shapes {x.shape} and {w.shape} do not agree")
-    out_ch, _, k = w.shape
+    out_ch, in_ch, k = w.shape
     if bias is not None and bias.shape != (out_ch,):
         raise ShapeError(f"conv1d: bias shape {bias.shape} != ({out_ch},)")
+    batch, _, t = x.shape
     anchor = 0 if causal else (k - 1) // 2
-    offsets = [(j - anchor) * dilation for j in range(k)]
+    taps = [(j, (j - anchor) * dilation) for j in range(k)]
+    taps = [(j, _tap_slices(s, t)) for j, s in taps if abs(s) < t]
     xd, wd = x.data, w.data
 
-    y = np.zeros((x.shape[0], out_ch, x.shape[2]), dtype=xd.dtype)
-    for j, off in enumerate(offsets):
-        y += np.einsum("oc,bct->bot", wd[:, :, j], _shifted(xd, off))
+    xc = _channels_major(xd).reshape(in_ch, batch * t)
+    yc = np.zeros((out_ch, batch, t), dtype=xd.dtype)
+    for j, (o, i) in taps:
+        yc[:, :, o] += (wd[:, :, j] @ xc).reshape(out_ch, batch, t)[:, :, i]
     if bias is not None:
-        y += bias.data[None, :, None]
+        yc += bias.data[:, None, None]
 
     parents = (x, w) if bias is None else (x, w, bias)
     req = any(p.requires_grad for p in parents)
-    out = Tensor(y, requires_grad=req, op="conv1d", _parents=parents)
+    out = Tensor(_channels_major(yc), requires_grad=req, op="conv1d", _parents=parents)
     if req:
         def _bw(g):
+            gc = _channels_major(g)
             if x.requires_grad:
-                gx = np.zeros_like(xd)
-                for j, off in enumerate(offsets):
-                    gx += np.einsum("oc,bot->bct", wd[:, :, j], _shifted(g, -off))
-                x.accumulate_grad(gx)
+                gflat = gc.reshape(out_ch, batch * t)
+                gxc = np.zeros((in_ch, batch, t), dtype=xd.dtype)
+                for j, (o, i) in taps:
+                    gxc[:, :, i] += (wd[:, :, j].T @ gflat).reshape(in_ch, batch, t)[:, :, o]
+                x.accumulate_grad(_channels_major(gxc))
             if w.requires_grad:
+                x3 = _channels_major(xd)
                 gw = np.zeros_like(wd)
-                for j, off in enumerate(offsets):
-                    gw[:, :, j] = np.einsum("bot,bct->oc", g, _shifted(xd, off))
+                for j, (o, i) in taps:
+                    gw[:, :, j] = (gc[:, :, o].reshape(out_ch, -1)
+                                   @ x3[:, :, i].reshape(in_ch, -1).T)
                 w.accumulate_grad(gw)
             if bias is not None and bias.requires_grad:
                 bias.accumulate_grad(g.sum(axis=(0, 2)))
@@ -336,12 +345,24 @@ def adam_step(params, state: AdamState) -> None:
     """One Adam update with bias correction; caller zeroes grads."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
     for i, p in enumerate(params):
         g = p.grad
         if g is None:
             continue
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1 ** state.t)
-        v_hat = state.v[i] / (1 - b2 ** state.t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        # in-place form of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # p -= lr * (m/c1) / (sqrt(v/c2) + eps), in the same order of operations
+        m, v = state.m[i], state.v[i]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        gg = (1 - b2) * g
+        gg *= g
+        v += gg
+        step = np.divide(m, c1)
+        step *= state.lr
+        denom = np.divide(v, c2, out=gg)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p.data -= step

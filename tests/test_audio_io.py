@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -78,6 +80,99 @@ class TestReadWav:
         write_wav(path, x, 16000, encoding="pcm16")
         back = read_wav(path).samples
         assert np.max(np.abs(back - x)) <= 1.0 / 32768 + 1e-9
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file from (id, body) chunks, odd bodies padded."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) % 2)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def fmt_body(tag, channels, rate, bits, extra=b""):
+    block = channels * bits // 8
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits) + extra
+
+
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+class TestWavFormat:
+    @pytest.mark.parametrize("encoding,dtype", [("float32", "<f4"), ("pcm16", "<i2")])
+    def test_bytes_match_scipy_writer(self, tmp_path, encoding, dtype):
+        rng = np.random.default_rng(5)
+        q = rng.integers(-32768, 32768, 777).astype("<i2")
+        x = (q / 32768.0).astype(np.float32)  # exact in both encodings
+        ours, ref = tmp_path / "ours.wav", tmp_path / "ref.wav"
+        write_wav(ours, x, 16000, encoding=encoding)
+        wavfile.write(str(ref), 16000, x.astype(dtype) if dtype == "<f4" else q)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_odd_sized_chunk_and_its_pad_byte_are_skipped(self, tmp_path):
+        q = np.array([1, -2, 3, 16384], dtype="<i2")
+        path = tmp_path / "a.wav"
+        path.write_bytes(riff((b"fmt ", fmt_body(1, 1, 8000, 16)),
+                              (b"LIST", b"abc"), (b"data", q.tobytes())))
+        clip = read_wav(path)
+        assert clip.sample_rate == 8000
+        np.testing.assert_array_equal(clip.samples, q / 32768.0)
+
+    def test_extensible_float_reads(self, tmp_path):
+        x = np.linspace(-1, 1, 50, dtype="<f4")
+        ext = struct.pack("<HHI", 22, 32, 4) + struct.pack("<I", 3) + GUID_TAIL
+        path = tmp_path / "ext.wav"
+        path.write_bytes(riff((b"fmt ", fmt_body(0xFFFE, 1, 16000, 32, ext)),
+                              (b"fact", struct.pack("<I", 50)), (b"data", x.tobytes())))
+        clip = read_wav(path)
+        assert clip.sample_rate == 16000
+        np.testing.assert_array_equal(clip.samples, x)
+
+    def test_pcm24_unsupported(self, tmp_path):
+        path = tmp_path / "p24.wav"
+        path.write_bytes(riff((b"fmt ", fmt_body(1, 1, 16000, 24)),
+                              (b"data", b"\x00" * 30)))
+        with pytest.raises(UnsupportedFormatError):
+            read_wav(path)
+
+    def test_float64_unsupported(self, tmp_path):
+        path = tmp_path / "f64.wav"
+        path.write_bytes(riff((b"fmt ", fmt_body(3, 1, 16000, 64, b"\x00\x00")),
+                              (b"data", np.zeros(4).tobytes())))
+        with pytest.raises(UnsupportedFormatError):
+            read_wav(path)
+
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    def test_every_cut_inside_the_header_is_a_format_error(self, tmp_path, encoding):
+        full = tmp_path / "full.wav"
+        write_wav(full, np.zeros(8, np.float32), 16000, encoding=encoding)
+        blob = full.read_bytes()
+        header = len(blob) - 8 * (4 if encoding == "float32" else 2)
+        cut = tmp_path / "cut.wav"
+        for n in range(header):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(FormatError):
+                read_wav(cut)
+
+    @pytest.mark.parametrize("encoding,width", [("float32", 4), ("pcm16", 2)])
+    def test_short_data_chunk_reads_whole_samples_present(self, tmp_path,
+                                                          encoding, width):
+        x = np.linspace(-0.5, 0.5, 100, dtype=np.float32)
+        path = tmp_path / "a.wav"
+        write_wav(path, x, 16000, encoding=encoding)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) - 5 * width - 1])
+        samples = read_wav(path).samples
+        np.testing.assert_allclose(samples, x[:94], atol=1.0 / 32768)
+        assert samples.flags.writeable
+        samples[0] = 0.0
+
+    def test_short_stereo_data_keeps_whole_frames(self, tmp_path):
+        frames = np.stack([np.full(10, 0.25, np.float32),
+                           np.full(10, 0.75, np.float32)], axis=1)
+        path = tmp_path / "st.wav"
+        wavfile.write(str(path), 16000, frames)
+        path.write_bytes(path.read_bytes()[:-12])  # 8.5 frames remain
+        np.testing.assert_allclose(read_wav(path).samples, np.full(8, 0.5))
 
 
 class TestResample:

@@ -1,16 +1,44 @@
+import io
 import json
+import os
+import queue
+import select
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aad.cli import main
+import aad
+from aad.cli import _raw_chunk_reader, main
 from aad.features import FeatureConfig, load_features, log_mel
 from aad.audio_io import AudioClip
+from aad.errors import FormatError
 from aad.models import checkpoint_load
 from aad.scoring import anomaly_score
 
 SMALL_FLAGS = ["--n-fft", "1024", "--hop", "512", "--n-mels", "16",
                "--context-frames", "1"]
+
+
+SRC = Path(aad.__file__).resolve().parents[1]
+
+
+def cli_command(*args):
+    """Argv and environment that run ``aad`` in a fresh, block-buffered interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return [sys.executable, "-m", "aad.cli", *map(str, args)], env
+
+
+def stream_args(workspace, tau="1e9"):
+    return ["stream", "--model", workspace / "run" / "last.aadm", "--tau", tau,
+            "--sample-rate", "16000", "--window-s", "2", "--hop-s", "1", *SMALL_FLAGS]
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +143,121 @@ class TestStream:
             offline = anomaly_score(*model.reconstruct_features(fm))
             assert float(score_text) == offline
             assert decision == "normal"  # tau 1e9 never trips
+
+
+    def test_nan_sample_reads_anomaly(self, workspace, tmp_path):
+        samples = np.random.default_rng(4).normal(0, 0.1, 6 * 16000).astype("<f4")
+        samples[40000] = np.nan  # 2.5 s: inside the windows ending at 3 s and 4 s
+        raw = tmp_path / "audio.f32"
+        raw.write_bytes(samples.tobytes())
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            rc = main([*map(str, stream_args(workspace)), "--input", str(raw)])
+        assert rc == 0
+        rows = [line.split(", ") for line in buf.getvalue().splitlines()]
+        assert [r[0] for r in rows] == ["2.000", "3.000", "4.000", "5.000", "6.000"]
+        assert [r[2] for r in rows] == ["normal", "anomaly", "anomaly", "normal", "normal"]
+        assert rows[1][1] == "nan"
+
+    def test_stray_trailing_bytes_end_with_one_line_error(self, workspace):
+        samples = np.zeros(3 * 16000, dtype="<f4").tobytes()
+        argv, env = cli_command(*stream_args(workspace))
+        done = subprocess.run(argv, env=env, input=samples + b"\x00\x01\x02",
+                              capture_output=True, timeout=60)
+        assert done.returncode == 1
+        err = done.stderr.decode().strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("aad stream: ")
+        assert "3 stray bytes" in err[0]
+        assert done.stdout.decode().splitlines()[0].endswith("normal")
+
+    def test_decision_lines_reach_a_pipe_before_end_of_input(self, workspace):
+        argv, env = cli_command(*stream_args(workspace))
+        proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            proc.stdin.write(np.zeros(3 * 16000, dtype="<f4").tobytes())
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, "no decision line before end of input"
+            assert proc.stdout.readline().decode().startswith("2.000, ")
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=30)
+        assert proc.returncode == 0
+
+
+class _SplitReads:
+    """A file whose reads return at most the next of the given sizes."""
+
+    def __init__(self, data, sizes):
+        self.data, self.sizes = data, list(sizes)
+
+    def read(self, n):
+        size = min(n, self.sizes.pop(0) if self.sizes else n)
+        out, self.data = self.data[:size], self.data[size:]
+        return out
+
+
+class TestRawChunkReader:
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(0, 3000), sizes=st.lists(st.integers(1, 9000), max_size=12))
+    def test_samples_split_across_reads_are_reassembled(self, n, sizes):
+        x = np.random.default_rng(n).normal(size=n).astype("<f4")
+        q = queue.Queue()
+        _raw_chunk_reader(_SplitReads(x.tobytes(), sizes), q)
+        items = [q.get() for _ in range(q.qsize())]
+        assert items[-1] is None
+        chunks = items[:-1]
+        assert all(len(c) > 0 for c in chunks)
+        got = np.concatenate(chunks) if chunks else np.zeros(0, "<f4")
+        np.testing.assert_array_equal(got, x)
+
+    @pytest.mark.parametrize("stray", [1, 2, 3])
+    def test_stray_bytes_end_with_format_error(self, stray):
+        q = queue.Queue()
+        _raw_chunk_reader(io.BytesIO(b"\x00" * (8 + stray)), q)
+        assert len(q.get()) == 2
+        end = q.get()
+        assert isinstance(end, FormatError) and f"{stray} stray bytes" in str(end)
+
+    def test_read_error_still_ends_the_queue(self):
+        class Broken:
+            def read(self, n):
+                raise OSError("device gone")
+        q = queue.Queue()
+        _raw_chunk_reader(Broken(), q)
+        assert isinstance(q.get(), OSError)
+
+
+class TestTcnDeterminism:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_rerun_writes_byte_identical_checkpoints(self, tmp_path_factory, threads):
+        data = tmp_path_factory.getbasetemp() / "tcn_data"
+        if not data.exists():
+            assert main(["synth", "--out", str(data), "--n-normal", "10",
+                         "--n-anomaly", "0", "--sample-rate", "16000",
+                         "--seed", "3"]) == 0
+        blobs = []
+        for run in ("a", "b"):
+            out = tmp_path_factory.mktemp(f"tcn{threads}{run}")
+            argv, env = cli_command("train", "--root", data, "--out", out,
+                                    "--model", "tcn_cvae", "--epochs", "2",
+                                    "--seed", "5", *SMALL_FLAGS)
+            env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            blobs.append([(out / name).read_bytes() for name in ("best.aadm", "last.aadm")])
+        assert blobs[0] == blobs[1]
+
+
+class TestStartup:
+    def test_import_leaves_scipy_unloaded(self):
+        _, env = cli_command()
+        code = "import sys, aad.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestConfigPrecedence:

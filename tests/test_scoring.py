@@ -78,6 +78,10 @@ class TestDecide:
     def test_above_threshold_is_anomaly(self):
         assert decide(5.0 + 1e-12, 5.0) == ANOMALY
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf")])
+    def test_non_finite_score_is_anomaly(self, score):
+        assert decide(score, 5.0) == ANOMALY
+
     def test_composition_with_threshold(self):
         tau = select_threshold(list(range(1, 11)), 0.10)
         assert decide(9.5, tau) == ANOMALY

@@ -21,6 +21,20 @@ def leaf(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
+def conv_by_tap_loop(x, w, b, dilation, causal):
+    """Direct oracle: y[:, :, t] = b + sum_j w[:, :, j] @ x[:, :, t - shift_j]."""
+    k = w.shape[2]
+    anchor = 0 if causal else (k - 1) // 2
+    t_len = x.shape[2]
+    y = np.zeros((x.shape[0], w.shape[0], t_len)) + b[None, :, None]
+    for j in range(k):
+        shift = (j - anchor) * dilation
+        for t in range(t_len):
+            if 0 <= t - shift < t_len:
+                y[:, :, t] += x[:, :, t - shift] @ w[:, :, j].T
+    return y
+
+
 class TestDense:
     def test_scalar_chain_rule(self):
         x, w, b = leaf([[3.0]]), leaf([[2.0]]), leaf([0.0])
@@ -129,6 +143,42 @@ class TestConv1dCausal:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv1d_causal(leaf(np.zeros((1, 2, 8))), leaf(np.zeros((4, 3, 3))))
+
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_tap_loop_at_every_dilation(self, causal, k):
+        # at T=32, dilations 16..32 shift taps partly or fully out of the window
+        rng = np.random.default_rng(k)
+        xd = rng.normal(size=(3, 4, 32))
+        wd = rng.normal(size=(5, 4, k))
+        bd = rng.normal(size=5)
+        for dilation in range(1, 33):
+            y = conv1d_causal(Tensor(xd), Tensor(wd), dilation=dilation,
+                              bias=Tensor(bd), causal=causal)
+            expected = conv_by_tap_loop(xd, wd, bd, dilation, causal)
+            np.testing.assert_allclose(y.data, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("causal,dilation", [(True, 8), (True, 13), (False, 8)])
+    def test_gradients_with_taps_beyond_the_window(self, causal, dilation):
+        # T=8: every tap but the anchor reads only padding
+        rng = np.random.default_rng(dilation)
+        xd = rng.normal(size=(2, 3, 8))
+        wd = rng.normal(size=(4, 3, 3))
+        bd = rng.normal(size=4)
+        x, w, b = leaf(xd), leaf(wd), leaf(bd)
+
+        def loss():
+            out = conv1d_causal(x, w, dilation=dilation, bias=b, causal=causal)
+            return float((out.data ** 2).sum())
+
+        zero_grads([x, w, b])
+        out = conv1d_causal(x, w, dilation=dilation, bias=b, causal=causal)
+        backward((out * out).sum())
+        analytic = [x.grad, w.grad, b.grad]
+        assert_grads_close(analytic, finite_diff_grad(loss, [xd, wd, bd]))
+        anchor = 0 if causal else 1
+        dead = [j for j in range(3) if j != anchor]
+        np.testing.assert_array_equal(w.grad[:, :, dead], 0.0)
 
 
 class TestActivations:
@@ -283,6 +333,50 @@ class TestAdam:
             adam_step([p], state)
             assert p.data.item() == pytest.approx(trajectory[t], rel=1e-12)
         assert abs(p.data.item()) < 1e-3
+
+
+def adam_step_reference(params, state):
+    """The out-of-place Adam formula, kept as the bit-level oracle."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    for i, p in enumerate(params):
+        g = p.grad
+        if g is None:
+            continue
+        state.m[i] = b1 * state.m[i] + (1 - b1) * g
+        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
+        m_hat = state.m[i] / (1 - b1 ** state.t)
+        v_hat = state.v[i] / (1 - b2 ** state.t)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+class TestAdamInPlace:
+    def test_bit_identical_to_out_of_place_formula(self):
+        rng = np.random.default_rng(11)
+        shapes = [(16, 8), (8,), (4, 3, 3)]
+        new = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+               for s in shapes]
+        old = [Tensor(p.data.copy(), requires_grad=True) for p in new]
+        s_new, s_old = init_adam(new, lr=3e-3), init_adam(old, lr=3e-3)
+        for step in range(60):
+            for a, b in zip(new, old):
+                g = rng.normal(size=a.shape).astype(np.float32)
+                a.grad, b.grad = g, g.copy()
+            if step % 7 == 3:  # a parameter without a gradient is skipped
+                new[1].grad = old[1].grad = None
+            adam_step(new, s_new)
+            adam_step_reference(old, s_old)
+        for a, b, m1, m2, v1, v2 in zip(new, old, s_new.m, s_old.m, s_new.v, s_old.v):
+            assert a.data.dtype == np.float32
+            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
+
+    def test_gradient_is_left_unchanged(self):
+        p = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+        g = np.array([0.5, -1.0, 2.0, 0.0], dtype=np.float32)
+        p.grad = g.copy()
+        adam_step([p], init_adam([p]))
+        np.testing.assert_array_equal(p.grad, g)
 
 
 class TestDeterminism:

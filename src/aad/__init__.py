@@ -44,14 +44,12 @@ from .models import (
     checkpoint_save,
     default_spec,
     empirical_receptive_field,
-    param_count,
     receptive_field,
     reparameterize,
     vae_loss,
 )
 from .scoring import (
     ScoreRecord,
-    ThresholdConfig,
     anomaly_score,
     decide,
     score_clip,

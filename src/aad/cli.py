@@ -10,20 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import queue
 import sys
-import threading
 import time
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .audio_io import NORMAL, SynthConfig, scan_dataset, split_index, synth_generate
-from .errors import AadError, ContractError, FormatError
+from .errors import AadError, ConfigError, ContractError, FormatError
 from .evaluation import EvalConfig, emit_report, evaluate_dataset
 from .features import FeatureConfig, dataset_features, save_features, stream_windows
-from .models import build, checkpoint_load, default_spec
+from .models import ModelSpec, build, checkpoint_load, default_spec
 from .scoring import (
     anomaly_score,
     decide,
@@ -35,9 +34,10 @@ from .training import TrainConfig, train, write_trainlog_csv
 from .tsne import EmbedConfig, tsne_embed, emit_plot
 
 CONFIG_ENV = "AAD_CONFIG"
+CONFIG_KEYS = {"seed", "sample_rate", "dataset_root", "output_dir", "test_normal_fraction",
+               "features", "model", "train", "embed"}
 
-_STREAM_CHUNK = 8192  # samples per producer read
-_QUEUE_DEPTH = 8
+_STREAM_CHUNK = 8192  # most samples taken from the input per read
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -45,22 +45,46 @@ def _load_config_file(path: str | None) -> dict:
         path = os.environ.get(CONFIG_ENV)
     if path is None:
         return {}
-    with open(path) as fh:
-        data = json.load(fh)
+    with open(path, "rb") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ContractError(f"{path}: config root must be a JSON object")
+        raise ConfigError(f"{path}: config root must be a JSON object")
+    unknown = set(data) - CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     return data
+
+
+def _section(file_cfg: dict, section: str, cls) -> dict:
+    """One config-file section, checked to be an object with only ``cls``'s keys."""
+    values = file_cfg.get(section, {})
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {section!r} must be a JSON object")
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"config section {section!r}: unknown keys {sorted(unknown)}")
+    return dict(values)
 
 
 def _merge_section(cls, file_cfg: dict, section: str, flags: dict):
     """defaults < config-file section < explicit flags, as one dataclass."""
-    values = dict(file_cfg.get(section, {}))
-    known = {f.name for f in fields(cls)}
-    unknown = set(values) - known
-    if unknown:
-        raise ContractError(f"config section {section!r}: unknown keys {sorted(unknown)}")
-    values.update({k: v for k, v in flags.items() if k in known and v is not None})
-    return cls(**values)
+    values = _section(file_cfg, section, cls)
+    values.update({k: v for k, v in flags.items() if v is not None})
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:  # a value of the wrong type
+        raise ConfigError(f"config section {section!r}: {exc}") from None
+
+
+def _setting(file_cfg: dict, key: str, cast, default):
+    """A top-level config-file value, converted by ``cast``."""
+    try:
+        return cast(file_cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r}: bad value {file_cfg[key]!r}") from None
 
 
 def _feature_flags(args) -> dict:
@@ -84,13 +108,13 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 def _seed(args, file_cfg) -> int:
     if args.seed is not None:
         return args.seed
-    return int(file_cfg.get("seed", 0))
+    return _setting(file_cfg, "seed", int, 0)
 
 
 def _sample_rate(args, file_cfg, default=22050) -> int:
     if args.sample_rate is not None:
         return args.sample_rate
-    return int(file_cfg.get("sample_rate", default))
+    return _setting(file_cfg, "sample_rate", int, default)
 
 
 def _out_dir(args, file_cfg) -> Path:
@@ -112,7 +136,7 @@ def _root(args, file_cfg) -> Path:
 def _test_split(index, args, file_cfg, seed):
     fraction = args.test_fraction
     if fraction is None:
-        fraction = float(file_cfg.get("test_normal_fraction", 0.1))
+        fraction = _setting(file_cfg, "test_normal_fraction", float, 0.1)
     return split_index(index, test_normal_fraction=fraction, seed=seed)
 
 
@@ -168,7 +192,7 @@ def cmd_train(args) -> int:
     index = scan_dataset(root)
     train_index, _ = _test_split(index, args, file_cfg, seed)
 
-    model_section = dict(file_cfg.get("model", {}))
+    model_section = _section(file_cfg, "model", ModelSpec)
     model_section.setdefault("kind", "dense_ae")
     model_section.setdefault("n_mels", features.n_mels)
     model_section.setdefault("context_frames", features.context_frames)
@@ -176,7 +200,10 @@ def cmd_train(args) -> int:
     flag_values = {k: v for k, v in _model_flags(args).items() if v is not None}
     model_section.update(flag_values)
     kind = model_section.pop("kind")
-    spec = default_spec(kind, **model_section)
+    try:
+        spec = default_spec(kind, **model_section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section 'model': {exc}") from None
     model = build(spec)
 
     train_cfg = _merge_section(TrainConfig, file_cfg, "train", {
@@ -268,32 +295,24 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _raw_chunk_reader(fh, out_queue: queue.Queue) -> None:
-    """Producer: raw float32 LE mono samples to a bounded queue.
+def _raw_chunk_reader(fh, n_samples: list[int]) -> Iterator[np.ndarray]:
+    """Raw float32 LE mono samples, as many as each read finds waiting.
 
-    Bytes of a sample split across two reads are carried to the next read.
-    The last item queued is always the end marker: None at a clean end of
-    input, otherwise the exception that stopped the reader.
+    ``read1`` makes at most one raw read, so a chunk is handed on as soon as
+    any bytes arrive. Bytes of a sample split across two reads are carried
+    to the next read. ``n_samples[0]`` counts the samples yielded.
     """
-    end = None
-    try:
-        carry = b""
-        while True:
-            raw = fh.read(_STREAM_CHUNK * 4)
-            if not raw:
-                break
-            raw = carry + raw
-            whole = len(raw) - len(raw) % 4
-            carry = raw[whole:]
-            if whole:
-                out_queue.put(np.frombuffer(raw, dtype="<f4", count=whole // 4))
-        if carry:
-            raise FormatError(f"input ends with {len(carry)} stray bytes; "
-                              "expected whole float32 samples")
-    except Exception as exc:
-        end = exc
-    finally:
-        out_queue.put(end)
+    carry = b""
+    while raw := fh.read1(_STREAM_CHUNK * 4):
+        raw = carry + raw
+        whole = len(raw) - len(raw) % 4
+        carry = raw[whole:]
+        if whole:
+            n_samples[0] += whole // 4
+            yield np.frombuffer(raw, dtype="<f4", count=whole // 4)
+    if carry:
+        raise FormatError(f"input ends with {len(carry)} stray bytes; "
+                          "expected whole float32 samples")
 
 
 def cmd_stream(args) -> int:
@@ -304,33 +323,13 @@ def cmd_stream(args) -> int:
     tau = args.tau
 
     fh = open(args.input, "rb") if args.input else sys.stdin.buffer
-    chunk_queue: queue.Queue = queue.Queue(maxsize=_QUEUE_DEPTH)
-    producer = threading.Thread(target=_raw_chunk_reader, args=(fh, chunk_queue),
-                                daemon=True)
-
-    def drain():
-        while True:
-            chunk = chunk_queue.get()
-            if chunk is None:
-                return
-            if isinstance(chunk, Exception):
-                raise chunk
-            yield chunk
-
-    total_samples = 0
-
-    def counting():
-        nonlocal total_samples
-        for chunk in drain():
-            total_samples += len(chunk)
-            yield chunk
-
+    n_samples = [0]
     t0 = time.perf_counter()
-    producer.start()
     n_windows = 0
     try:
-        for window in stream_windows(counting(), sample_rate, features,
-                                     window_s=args.window_s, hop_s=args.hop_s):
+        for window in stream_windows(_raw_chunk_reader(fh, n_samples), sample_rate,
+                                     features, window_s=args.window_s,
+                                     hop_s=args.hop_s):
             score = anomaly_score(*model.reconstruct_features(window.features))
             print(f"{window.end_s:.3f}, {score!r}, {decide(score, tau)}", flush=True)
             n_windows += 1
@@ -338,7 +337,7 @@ def cmd_stream(args) -> int:
         if args.input:
             fh.close()
     elapsed = time.perf_counter() - t0
-    audio_s = total_samples / sample_rate
+    audio_s = n_samples[0] / sample_rate
     rtf = elapsed / audio_s if audio_s > 0 else float("inf")
     print(f"real-time factor: {rtf:.4f} ({n_windows} windows, "
           f"{audio_s:.1f} s audio in {elapsed:.2f} s)", file=sys.stderr)

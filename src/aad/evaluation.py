@@ -30,6 +30,9 @@ def _split_scores(records: Sequence[ScoreRecord]) -> tuple[np.ndarray, np.ndarra
         raise DegenerateEvalError(
             f"need both labels, got {pos.size} anomalies and {neg.size} normals"
         )
+    bad = np.count_nonzero(~np.isfinite(pos)) + np.count_nonzero(~np.isfinite(neg))
+    if bad:
+        raise ContractError(f"{bad} of {pos.size + neg.size} scores are not finite")
     return pos, neg
 
 

@@ -446,10 +446,6 @@ def build(spec: ModelSpec) -> Model:
     raise SpecError(f"unknown model kind {spec.kind!r}")
 
 
-def param_count(model: Model) -> int:
-    return model.param_count()
-
-
 # -- checkpoint serialization --
 
 

@@ -32,16 +32,6 @@ class ScoreRecord:
     machine_id: int
 
 
-@dataclass
-class ThresholdConfig:
-    max_fpr: float = 0.10
-    tau: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.max_fpr < 1.0:
-            raise ContractError("max_fpr must be in (0, 1)")
-
-
 def anomaly_score(xa, xr) -> float:
     """Mean squared frame reconstruction error between observed and rebuilt."""
     a = xa.data if isinstance(xa, FeatureMatrix) else np.asarray(xa)
@@ -72,11 +62,16 @@ def score_dataset(model: Model, clips: Sequence[ClipFeatures]) -> list[ScoreReco
 def select_threshold(normal_scores: Sequence[float], max_fpr: float = 0.10) -> float:
     """Nearest-rank quantile so that P(normal score > tau) <= max_fpr.
 
-    tau is the value at ascending rank ceil((1 - p) * N).
+    tau is the value at ascending rank ceil((1 - p) * N). Every score must
+    be finite: NaN sorts last and could itself become tau.
     """
     scores = np.asarray(normal_scores, dtype=np.float64)
     if scores.size == 0:
         raise ContractError("select_threshold needs at least one normal score")
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise ContractError(f"select_threshold: {bad} of {scores.size} normal scores "
+                            "are not finite")
     if not 0.0 < max_fpr < 1.0:
         raise ContractError("max_fpr must be in (0, 1)")
     # tiny backoff keeps integer products like 0.9 * 10 from ceiling to 10

@@ -52,9 +52,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     # -- elementwise arithmetic --
 
     def __add__(self, other):
@@ -77,9 +74,6 @@ class Tensor:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # -- activations and shape ops --
 
@@ -150,21 +144,6 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
     return np.asarray(g.sum()).reshape(shape)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not agree")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad,
-                 op="matmul", _parents=(a, b))
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(g @ b.data.T)
-            if b.requires_grad:
-                b.accumulate_grad(a.data.T @ g)
-        out._backward = _bw
-    return out
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

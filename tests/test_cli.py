@@ -1,8 +1,8 @@
 import io
 import json
 import os
-import queue
 import select
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import aad
 from aad.cli import _raw_chunk_reader, main
 from aad.features import FeatureConfig, load_features, log_mel
-from aad.audio_io import AudioClip
+from aad.audio_io import AudioClip, write_wav
 from aad.errors import FormatError
 from aad.models import checkpoint_load
 from aad.scoring import anomaly_score
@@ -185,14 +185,32 @@ class TestStream:
             proc.wait(timeout=30)
         assert proc.returncode == 0
 
+    def test_window_is_scored_once_its_last_sample_is_written(self, workspace):
+        # exactly one 2 s window, input held open: the decision must not wait
+        # for a larger read to fill or for end of input
+        argv, env = cli_command(*stream_args(workspace))
+        proc = subprocess.Popen(argv, env=env, stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            proc.stdin.write(np.zeros(2 * 16000, dtype="<f4").tobytes())
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no decision line for a complete window within 10 s"
+            assert proc.stdout.readline().decode().startswith("2.000, ")
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=30)
+        assert proc.returncode == 0
+        assert proc.stdout.read() == b""
+
 
 class _SplitReads:
-    """A file whose reads return at most the next of the given sizes."""
+    """A pipe-like file whose reads return at most the next of the given sizes."""
 
     def __init__(self, data, sizes):
         self.data, self.sizes = data, list(sizes)
 
-    def read(self, n):
+    def read1(self, n):
         size = min(n, self.sizes.pop(0) if self.sizes else n)
         out, self.data = self.data[:size], self.data[size:]
         return out
@@ -203,30 +221,26 @@ class TestRawChunkReader:
     @given(n=st.integers(0, 3000), sizes=st.lists(st.integers(1, 9000), max_size=12))
     def test_samples_split_across_reads_are_reassembled(self, n, sizes):
         x = np.random.default_rng(n).normal(size=n).astype("<f4")
-        q = queue.Queue()
-        _raw_chunk_reader(_SplitReads(x.tobytes(), sizes), q)
-        items = [q.get() for _ in range(q.qsize())]
-        assert items[-1] is None
-        chunks = items[:-1]
+        count = [0]
+        chunks = list(_raw_chunk_reader(_SplitReads(x.tobytes(), sizes), count))
         assert all(len(c) > 0 for c in chunks)
         got = np.concatenate(chunks) if chunks else np.zeros(0, "<f4")
         np.testing.assert_array_equal(got, x)
+        assert count == [n]
 
     @pytest.mark.parametrize("stray", [1, 2, 3])
     def test_stray_bytes_end_with_format_error(self, stray):
-        q = queue.Queue()
-        _raw_chunk_reader(io.BytesIO(b"\x00" * (8 + stray)), q)
-        assert len(q.get()) == 2
-        end = q.get()
-        assert isinstance(end, FormatError) and f"{stray} stray bytes" in str(end)
+        chunks = _raw_chunk_reader(io.BytesIO(b"\x00" * (8 + stray)), [0])
+        assert len(next(chunks)) == 2
+        with pytest.raises(FormatError, match=f"{stray} stray bytes"):
+            next(chunks)
 
-    def test_read_error_still_ends_the_queue(self):
+    def test_read_error_propagates(self):
         class Broken:
-            def read(self, n):
+            def read1(self, n):
                 raise OSError("device gone")
-        q = queue.Queue()
-        _raw_chunk_reader(Broken(), q)
-        assert isinstance(q.get(), OSError)
+        with pytest.raises(OSError, match="device gone"):
+            next(_raw_chunk_reader(Broken(), [0]))
 
 
 class TestTcnDeterminism:
@@ -258,6 +272,21 @@ class TestStartup:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+class TestScoreErrors:
+    def test_non_finite_normal_score_is_one_line_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        clip = sorted(data.rglob("normal/*.wav"))[0]
+        write_wav(clip, np.full(8000, np.nan, np.float32), 16000)
+        rc = main(["score", "--root", str(data), "--out", str(tmp_path / "out"),
+                   "--model", str(workspace / "run" / "last.aadm"),
+                   "--seed", "7", *SMALL_FLAGS])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("aad score: ")
+        assert "not finite" in err[0]
 
 
 class TestConfigPrecedence:
@@ -296,6 +325,30 @@ class TestConfigPrecedence:
         rc = main(["features", "--root", str(workspace / "data"),
                    "--out", str(tmp_path / "cache"), "--config", str(cfg_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("text", ['{"seed": 7,', '{"features": [1]}',
+                                      '{"model": {"bogus": 1}}', '{"seed": "x"}',
+                                      '{"features": {"log_floor": "x"}}',
+                                      '{"model": {"hidden": 3}}', '{"sed": 7}', '[1, 2]'])
+    def test_bad_config_file_is_one_line_error(self, workspace, tmp_path, text, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        rc = main(["train", "--root", str(workspace / "data"), "--out", str(tmp_path / "run"),
+                   "--config", str(cfg_path), "--epochs", "1", *SMALL_FLAGS])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("aad train: ")
+
+    def test_bad_json_in_env_config_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"{\xff")
+        monkeypatch.setenv("AAD_CONFIG", str(cfg_path))
+        rc = main(["synth", "--out", str(tmp_path / "d"), "--n-normal", "1",
+                   "--n-anomaly", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("aad synth: ")
+        assert "not valid JSON" in err[0]
 
 
 class TestExitCodes:

@@ -63,6 +63,13 @@ class TestRocAuc:
         with pytest.raises(DegenerateEvalError):
             roc_auc(records_from([1.0, 2.0], []))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ContractError, match="not finite"):
+            roc_auc(records_from([1.0, bad], [2.0, 3.0]))
+        with pytest.raises(ContractError, match="not finite"):
+            roc_auc(records_from([1.0, 2.0], [bad, 3.0]))
+
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -112,6 +119,13 @@ class TestPauc:
     def test_p_too_small(self):
         with pytest.raises(ContractError):
             pauc(records_from([1, 2, 3], [4]), p=0.05)  # floor(0.15) = 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ContractError, match="not finite"):
+            pauc(records_from([1.0, 2.0, bad], [4.0]), p=1.0)
+        with pytest.raises(ContractError, match="not finite"):
+            pauc(records_from([1.0, 2.0, 3.0], [bad]), p=1.0)
 
     def test_p_one_equals_roc_auc_exactly(self):
         rng = np.random.default_rng(3)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aad.audio_io import AudioClip
 from aad.errors import ConfigError, ContractError, FormatError, TooShortError
@@ -217,6 +219,30 @@ class TestStreamWindows:
         for w in stream_windows(self._chunks(x, 700), sr, cfg, 2.0, 1.0):
             start = int(round(w.start_s * sr))
             offline = log_mel(AudioClip(x[start:start + 2 * sr], sr), cfg)
+            np.testing.assert_array_equal(w.features.data, offline.data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 20000), sizes=st.lists(st.integers(1, 9000), min_size=1,
+                                                   max_size=8))
+    @example(n=9000, sizes=[1])
+    @example(n=20000, sizes=[9000])
+    def test_any_chunking_matches_offline_bit_for_bit(self, n, sizes):
+        sr, win, hop = 16000, 8000, 3000
+        cfg = FeatureConfig(n_fft=512, hop=256, n_mels=16, context_frames=3)
+        x = np.random.default_rng(n).normal(0, 0.2, n).astype(np.float32)
+
+        def chunks():
+            start, i = 0, 0
+            while start < n:
+                yield x[start:start + sizes[i % len(sizes)]]
+                start += sizes[i % len(sizes)]
+                i += 1
+
+        wins = list(stream_windows(chunks(), sr, cfg, win / sr, hop / sr))
+        assert len(wins) == ((n - win) // hop + 1 if n >= win else 0)
+        for k, w in enumerate(wins):
+            assert (w.start_s, w.end_s) == (k * hop / sr, (k * hop + win) / sr)
+            offline = log_mel(AudioClip(x[k * hop:k * hop + win], sr), cfg)
             np.testing.assert_array_equal(w.features.data, offline.data)
 
     def test_window_smaller_than_nfft_rejected(self):

@@ -11,7 +11,6 @@ from aad.models import (
     checkpoint_save,
     default_spec,
     empirical_receptive_field,
-    param_count,
     receptive_field,
     reparameterize,
     vae_loss,
@@ -207,7 +206,7 @@ class TestParamCount:
     def test_mirror_ae_4_2_4(self):
         spec = ModelSpec(kind="dense_ae", n_mels=4, context_frames=1,
                          hidden=(), bottleneck=2)
-        assert param_count(build(spec)) == 22  # (4*2+2) + (2*4+4)
+        assert build(spec).param_count() == 22  # (4*2+2) + (2*4+4)
 
     def test_conv_layer_count(self):
         # 2 -> 3 channels, k=5: 2*3*5 + 3 = 33

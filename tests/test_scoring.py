@@ -5,7 +5,6 @@ from aad.audio_io import ANOMALY, NORMAL
 from aad.errors import ContractError, ShapeError
 from aad.scoring import (
     ScoreRecord,
-    ThresholdConfig,
     anomaly_score,
     decide,
     select_threshold,
@@ -61,6 +60,17 @@ class TestSelectThreshold:
         with pytest.raises(ContractError):
             select_threshold([], 0.1)
 
+    @pytest.mark.parametrize("max_fpr", [0.0, 1.0, 1.5, -0.1])
+    def test_max_fpr_outside_open_unit_interval_rejected(self, max_fpr):
+        with pytest.raises(ContractError, match="max_fpr"):
+            select_threshold([1.0, 2.0], max_fpr)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_rejected(self, bad):
+        # NaN sorts last, so it would land on the selected rank and become tau
+        with pytest.raises(ContractError, match="1 of 4 normal scores"):
+            select_threshold([1.0, bad, 2.0, 3.0], 0.1)
+
     def test_fpr_guarantee_random_sets(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
@@ -95,15 +105,6 @@ class TestDecide:
             tau_t = select_threshold(transform(normals), 0.1)
             for q in queries:
                 assert decide(q, tau) == decide(float(transform(q)), tau_t)
-
-
-class TestThresholdConfig:
-    def test_valid_range(self):
-        assert ThresholdConfig(max_fpr=0.05).max_fpr == 0.05
-
-    def test_invalid_fpr(self):
-        with pytest.raises(ContractError):
-            ThresholdConfig(max_fpr=1.5)
 
 
 class TestScoreCsv:

@@ -1,8 +1,20 @@
 """Command-line pipeline: synth, features, train, score, eval, embed, stream.
 
-Configuration merges three layers: built-in defaults, then a JSON config
-file (--config or the AAD_CONFIG environment variable), then explicit
-flags. Exit codes: 0 success, 1 pipeline error, 2 usage error.
+Every command resolves its settings in one step, ``resolve``: built-in
+defaults, then a JSON config file (--config, or the AAD_CONFIG environment
+variable), then explicit flags; a later layer wins. The file holds the
+top-level keys of ``RunConfig`` and the sections ``features``, ``model``,
+``train`` and ``embed``, whose keys are the fields of FeatureConfig,
+ModelSpec, TrainConfig and EmbedConfig. Each fact has one home: ``seed`` is
+top-level, and ``n_mels`` and ``context_frames`` live in ``features``; the
+resolver copies them into the model spec and the train and embed configs,
+and rejects them inside any other section. A value must fit its field's
+annotation: an int field takes an integer that is not a bool, a float field
+an integer or a float, an ``X | None`` field also null, a tuple field a
+JSON list. Every command honours ``sample_rate``: the dataset commands
+resample each clip to it (unset: native rates), and synth writes and
+stream reads at it (unset: ``DEFAULT_RATE``). Exit codes: 0 success,
+1 pipeline error (one ``aad <cmd>: ...`` line on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,9 +24,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Iterator
+from types import NoneType, UnionType
+from typing import Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -22,7 +36,7 @@ from .audio_io import NORMAL, SynthConfig, scan_dataset, split_index, synth_gene
 from .errors import AadError, ConfigError, ContractError, FormatError
 from .evaluation import EvalConfig, emit_report, evaluate_dataset
 from .features import FeatureConfig, dataset_features, save_features, stream_windows
-from .models import ModelSpec, build, checkpoint_load, default_spec
+from .models import MODEL_KINDS, ModelSpec, build, checkpoint_load, default_spec
 from .scoring import (
     anomaly_score,
     decide,
@@ -34,10 +48,36 @@ from .training import TrainConfig, train, write_trainlog_csv
 from .tsne import EmbedConfig, tsne_embed, emit_plot
 
 CONFIG_ENV = "AAD_CONFIG"
-CONFIG_KEYS = {"seed", "sample_rate", "dataset_root", "output_dir", "test_normal_fraction",
-               "features", "model", "train", "embed"}
+DEFAULT_RATE = 16000  # Hz, of synth output and stream input when sample_rate is unset
 
 _STREAM_CHUNK = 8192  # most samples taken from the input per read
+
+
+@dataclass
+class RunConfig:
+    """Every setting a command reads, resolved from defaults, config file and flags."""
+
+    seed: int = 0
+    sample_rate: int | None = None  # None: native rates (synth, stream: DEFAULT_RATE)
+    dataset_root: Path | None = None
+    output_dir: Path | None = None
+    test_normal_fraction: float = 0.1
+    features: FeatureConfig = field(init=False)
+    model: ModelSpec = field(init=False)
+    train: TrainConfig = field(init=False)
+    embed: EmbedConfig = field(init=False)
+
+    def __post_init__(self):
+        if self.sample_rate is not None and self.sample_rate < 1:
+            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
+
+
+CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_hints = cache(get_type_hints)  # field name -> resolved annotation, per config class
+# the one home of each fact more than one config type holds
+_HOMES = {"seed": "seed", "n_mels": "features.n_mels",
+          "context_frames": "features.context_frames"}
+_REQUIRED = {"dataset_root": "--root", "output_dir": "--out"}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -52,244 +92,177 @@ def _load_config_file(path: str | None) -> dict:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
-    unknown = set(data) - CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     return data
 
 
-def _section(file_cfg: dict, section: str, cls) -> dict:
-    """One config-file section, checked to be an object with only ``cls``'s keys."""
-    values = file_cfg.get(section, {})
-    if not isinstance(values, dict):
-        raise ConfigError(f"config section {section!r} must be a JSON object")
-    unknown = set(values) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"config section {section!r}: unknown keys {sorted(unknown)}")
-    return dict(values)
+def _flag_layer(args) -> dict:
+    """The flags given, as a config tree: dest ``a.b`` is key ``b`` of section ``a``."""
+    layer: dict = {}
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is None or not (section or dest in CONFIG_KEYS):
+            continue
+        (layer.setdefault(section, {}) if section else layer)[key] = value
+    return layer
 
 
-def _merge_section(cls, file_cfg: dict, section: str, flags: dict):
-    """defaults < config-file section < explicit flags, as one dataclass."""
-    values = _section(file_cfg, section, cls)
-    values.update({k: v for k, v in flags.items() if v is not None})
-    try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:  # a value of the wrong type
-        raise ConfigError(f"config section {section!r}: {exc}") from None
+def _required_type(hint):
+    """``X`` for an annotation ``X | None``, else the annotation itself."""
+    if get_origin(hint) is UnionType:
+        return next(a for a in get_args(hint) if a is not NoneType)
+    return hint
 
 
-def _setting(file_cfg: dict, key: str, cast, default):
-    """A top-level config-file value, converted by ``cast``."""
-    try:
-        return cast(file_cfg.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r}: bad value {file_cfg[key]!r}") from None
+def _check(name: str, value, hint):
+    """``value`` as the annotation ``hint`` takes it, or a one-line ConfigError."""
+    if value is None and get_origin(hint) is UnionType:
+        return None
+    hint = _required_type(hint)
+    if get_origin(hint) is tuple and type(value) is list:
+        return tuple(_check(name, v, get_args(hint)[0]) for v in value)
+    if hint is float and type(value) is int:
+        return float(value)
+    if hint is Path and type(value) is str:
+        return Path(value)
+    if type(value) is not hint:
+        raise ConfigError(f"config key {name!r}: expected {hint.__name__}, "
+                          f"got {json.dumps(value)}")
+    return value
 
 
-def _feature_flags(args) -> dict:
-    return {"n_fft": args.n_fft, "hop": args.hop, "n_mels": args.n_mels,
-            "context_frames": args.context_frames}
+def _merge(layers: list[dict], hints: dict, prefix: str = "") -> dict:
+    """Checked values of every layer, later layers winning, sections kept nested."""
+    merged: dict = {}
+    for layer in layers:
+        for key, value in layer.items():
+            name = prefix + key
+            if _HOMES.get(key, name) != name:
+                raise ConfigError(f"config key {name!r} is set only as {_HOMES[key]!r}")
+            if key not in hints:
+                raise ConfigError(f"unknown config key {name!r}")
+            if is_dataclass(hints[key]):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config section {key!r} must be a JSON object")
+                merged.setdefault(key, []).append(value)
+            else:
+                merged[key] = _check(name, value, hints[key])
+    return merged
 
 
-def _add_feature_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-fft", type=int, dest="n_fft")
-    p.add_argument("--hop", type=int)
-    p.add_argument("--n-mels", type=int, dest="n_mels")
-    p.add_argument("--context-frames", type=int, dest="context_frames")
-
-
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (or set $AAD_CONFIG)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sample-rate", type=int, dest="sample_rate")
-
-
-def _seed(args, file_cfg) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _setting(file_cfg, "seed", int, 0)
-
-
-def _sample_rate(args, file_cfg, default=22050) -> int:
-    if args.sample_rate is not None:
-        return args.sample_rate
-    return _setting(file_cfg, "sample_rate", int, default)
-
-
-def _out_dir(args, file_cfg) -> Path:
-    out = args.out or file_cfg.get("output_dir")
-    if out is None:
-        raise ContractError("no output directory: pass --out or set output_dir")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _root(args, file_cfg) -> Path:
-    root = args.root or file_cfg.get("dataset_root")
-    if root is None:
-        raise ContractError("no dataset root: pass --root or set dataset_root")
-    return Path(root)
-
-
-def _test_split(index, args, file_cfg, seed):
-    fraction = args.test_fraction
-    if fraction is None:
-        fraction = _setting(file_cfg, "test_normal_fraction", float, 0.1)
-    return split_index(index, test_normal_fraction=fraction, seed=seed)
-
-
-def _load_model(args):
-    return checkpoint_load(args.model)
+def resolve(args) -> RunConfig:
+    """One command's settings: defaults < config file < flags, each value type-checked."""
+    hints = _hints(RunConfig)
+    merged = _merge([_load_config_file(args.config), _flag_layer(args)], hints)
+    section = {f.name: _merge(merged.pop(f.name, []), _hints(hints[f.name]), f"{f.name}.")
+               for f in fields(RunConfig) if not f.init}
+    run = RunConfig(**merged)
+    run.features = FeatureConfig(**section["features"])
+    seed = {"seed": run.seed}
+    run.model = default_spec(**{"kind": "dense_ae", **section["model"], **seed,
+                                "n_mels": run.features.n_mels,
+                                "context_frames": run.features.context_frames})
+    run.train = TrainConfig(**section["train"], **seed)
+    run.embed = EmbedConfig(**section["embed"], **seed)
+    for key, flag in _REQUIRED.items():
+        if key in vars(args) and getattr(run, key) is None:
+            raise ContractError(f"no {key}: pass {flag} or set {key!r} in the config file")
+    if "output_dir" in vars(args):
+        run.output_dir.mkdir(parents=True, exist_ok=True)
+    return run
 
 
 # -- subcommands --
 
 
 def cmd_synth(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    out = _out_dir(args, file_cfg)
-    cfg = SynthConfig(
-        n_normal=args.n_normal,
-        n_anomaly=args.n_anomaly,
-        duration_s=args.duration_s,
-        sample_rate=_sample_rate(args, file_cfg, default=16000),
-        seed=_seed(args, file_cfg),
-    )
-    index = synth_generate(out, cfg)
-    print(f"wrote {len(index)} clips under {out}")
+    run = resolve(args)
+    cfg = SynthConfig(n_normal=args.n_normal, n_anomaly=args.n_anomaly,
+                      duration_s=args.duration_s,
+                      sample_rate=run.sample_rate or DEFAULT_RATE, seed=run.seed)
+    index = synth_generate(run.output_dir, cfg)
+    print(f"wrote {len(index)} clips under {run.output_dir}")
     return 0
 
 
 def cmd_features(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    features = _merge_section(FeatureConfig, file_cfg, "features", _feature_flags(args))
-    root = _root(args, file_cfg)
-    out = _out_dir(args, file_cfg)
-    index = scan_dataset(root)
-    clips = dataset_features(index, features, target_rate=args.sample_rate)
+    run = resolve(args)
+    index = scan_dataset(run.dataset_root)
+    clips = dataset_features(index, run.features, target_rate=run.sample_rate)
     for clip in clips:
-        dest = out / Path(clip.path).with_suffix(".aadf")
+        dest = run.output_dir / Path(clip.path).with_suffix(".aadf")
         dest.parent.mkdir(parents=True, exist_ok=True)
-        save_features(clip.features, dest, features)
-    print(f"cached {len(clips)} feature files under {out}")
+        save_features(clip.features, dest, run.features)
+    print(f"cached {len(clips)} feature files under {run.output_dir}")
     return 0
 
 
-def _model_flags(args) -> dict:
-    return {"kind": args.model, "window_frames": args.window_frames,
-            "latent_dim": args.latent_dim, "tcn_layers": args.tcn_layers,
-            "tcn_channels": args.tcn_channels}
-
-
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    features = _merge_section(FeatureConfig, file_cfg, "features", _feature_flags(args))
-    root = _root(args, file_cfg)
-    out = _out_dir(args, file_cfg)
-    index = scan_dataset(root)
-    train_index, _ = _test_split(index, args, file_cfg, seed)
-
-    model_section = _section(file_cfg, "model", ModelSpec)
-    model_section.setdefault("kind", "dense_ae")
-    model_section.setdefault("n_mels", features.n_mels)
-    model_section.setdefault("context_frames", features.context_frames)
-    model_section.setdefault("seed", seed)
-    flag_values = {k: v for k, v in _model_flags(args).items() if v is not None}
-    model_section.update(flag_values)
-    kind = model_section.pop("kind")
-    try:
-        spec = default_spec(kind, **model_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section 'model': {exc}") from None
-    model = build(spec)
-
-    train_cfg = _merge_section(TrainConfig, file_cfg, "train", {
-        "epochs": args.epochs, "batch_size": args.batch_size,
-        "lr": args.lr, "seed": seed,
-        "validation_split": args.validation_split,
-    })
-    clips = dataset_features(train_index, features, target_rate=args.sample_rate)
-    model, log = train(model, clips, train_cfg, checkpoint_dir=out)
-    write_trainlog_csv(log, out / "trainlog.csv")
+    run = resolve(args)
+    index = scan_dataset(run.dataset_root)
+    train_index, _ = split_index(index, run.test_normal_fraction, run.seed)
+    model = build(run.model)
+    clips = dataset_features(train_index, run.features, target_rate=run.sample_rate)
+    model, log = train(model, clips, run.train, checkpoint_dir=run.output_dir)
+    write_trainlog_csv(log, run.output_dir / "trainlog.csv")
     final = log.train_losses()[-1] if log.epochs else float("nan")
-    print(f"trained {spec.kind} for {len(log.epochs)} epochs, "
-          f"final train loss {final:.6g}; checkpoints under {out}")
+    print(f"trained {run.model.kind} for {len(log.epochs)} epochs, "
+          f"final train loss {final:.6g}; checkpoints under {run.output_dir}")
     return 0
 
 
 def cmd_score(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    features = _merge_section(FeatureConfig, file_cfg, "features", _feature_flags(args))
-    root = _root(args, file_cfg)
-    out = _out_dir(args, file_cfg)
-    model = _load_model(args)
-    index = scan_dataset(root)
-    if args.partition == "test":
-        _, index = _test_split(index, args, file_cfg, seed)
-    elif args.partition == "train":
-        index, _ = _test_split(index, args, file_cfg, seed)
-    clips = dataset_features(index, features, target_rate=args.sample_rate)
+    run = resolve(args)
+    model = checkpoint_load(args.checkpoint)
+    index = scan_dataset(run.dataset_root)
+    if args.partition != "all":
+        train_index, test_index = split_index(index, run.test_normal_fraction, run.seed)
+        index = test_index if args.partition == "test" else train_index
+    clips = dataset_features(index, run.features, target_rate=run.sample_rate)
     records = score_dataset(model, clips)
     if args.tau is not None:
         tau = args.tau
     else:
         normal_scores = [r.score for r in records if r.label == NORMAL]
         tau = select_threshold(normal_scores, args.max_fpr)
-    path = out / "scores.csv"
+    path = run.output_dir / "scores.csv"
     write_scores_csv(records, path, tau)
     print(f"scored {len(records)} clips (tau={tau!r}) -> {path}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    features = _merge_section(FeatureConfig, file_cfg, "features", _feature_flags(args))
-    root = _root(args, file_cfg)
-    out = _out_dir(args, file_cfg)
-    model = _load_model(args)
-    index = scan_dataset(root)
-    _, test_index = _test_split(index, args, file_cfg, seed)
-    cfg = EvalConfig(features=features, p=args.p, pauc_ceil=args.pauc_ceil,
-                     sample_rate=args.sample_rate)
+    run = resolve(args)
+    model = checkpoint_load(args.checkpoint)
+    index = scan_dataset(run.dataset_root)
+    _, test_index = split_index(index, run.test_normal_fraction, run.seed)
+    cfg = EvalConfig(features=run.features, p=args.p, pauc_ceil=args.pauc_ceil,
+                     sample_rate=run.sample_rate)
     report = evaluate_dataset(model, test_index, cfg)
     suffix = {"json": ".json", "csv": ".csv", "markdown": ".md"}[args.format]
-    path = out / f"report{suffix}"
+    path = run.output_dir / f"report{suffix}"
     emit_report(report, args.format, path)
     print(f"evaluated {model.spec.kind} at p={args.p} -> {path}")
     return 0
 
 
 def cmd_embed(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = _seed(args, file_cfg)
-    features = _merge_section(FeatureConfig, file_cfg, "features", _feature_flags(args))
-    root = _root(args, file_cfg)
-    out = _out_dir(args, file_cfg)
-    index = scan_dataset(root)
-    clips = dataset_features(index, features, target_rate=args.sample_rate)
+    run = resolve(args)
+    index = scan_dataset(run.dataset_root)
+    clips = dataset_features(index, run.features, target_rate=run.sample_rate)
     if args.max_clips is not None and len(clips) > args.max_clips:
-        keep = np.random.default_rng([seed, 3]).permutation(len(clips))[:args.max_clips]
+        keep = np.random.default_rng([run.seed, 3]).permutation(len(clips))[:args.max_clips]
         clips = [clips[i] for i in sorted(keep)]
     labels = [c.label for c in clips]
     if args.space == "latent":
-        if args.model is None:
+        if args.checkpoint is None:
             raise ContractError("--space latent needs --model")
-        model = _load_model(args)
+        model = checkpoint_load(args.checkpoint)
         vectors = np.stack([model.encode(c.features) for c in clips])
-        base = out / "embed_latent"
+        base = run.output_dir / "embed_latent"
     else:
         vectors = np.stack([c.features.data.mean(axis=0) for c in clips])
-        base = out / "embed_features"
-    embed_cfg = _merge_section(EmbedConfig, file_cfg, "embed", {
-        "output_dims": args.dims, "perplexity": args.perplexity,
-        "iterations": args.iterations, "seed": seed,
-    })
-    embedding = tsne_embed(vectors, embed_cfg, labels=labels)
+        base = run.output_dir / "embed_features"
+    embedding = tsne_embed(vectors, run.embed, labels=labels)
     paths = emit_plot(embedding, base)
     print(f"embedded {len(clips)} clips -> " + ", ".join(str(p) for p in paths))
     return 0
@@ -316,10 +289,9 @@ def _raw_chunk_reader(fh, n_samples: list[int]) -> Iterator[np.ndarray]:
 
 
 def cmd_stream(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    features = _merge_section(FeatureConfig, file_cfg, "features", _feature_flags(args))
-    sample_rate = _sample_rate(args, file_cfg, default=16000)
-    model = _load_model(args)
+    run = resolve(args)
+    sample_rate = run.sample_rate or DEFAULT_RATE
+    model = checkpoint_load(args.checkpoint)
     tau = args.tau
 
     fh = open(args.input, "rb") if args.input else sys.stdin.buffer
@@ -328,7 +300,7 @@ def cmd_stream(args) -> int:
     n_windows = 0
     try:
         for window in stream_windows(_raw_chunk_reader(fh, n_samples), sample_rate,
-                                     features, window_s=args.window_s,
+                                     run.features, window_s=args.window_s,
                                      hop_s=args.hop_s):
             score = anomaly_score(*model.reconstruct_features(window.features))
             print(f"{window.end_s:.3f}, {score!r}, {decide(score, tau)}", flush=True)
@@ -344,93 +316,88 @@ def cmd_stream(args) -> int:
     return 0
 
 
+_FEATURE_FLAGS = {"--n-fft": "features.n_fft", "--hop": "features.hop",
+                  "--n-mels": "features.n_mels", "--context-frames": "features.context_frames"}
+_DATASET_FLAGS = {"--root": "dataset_root", "--out": "output_dir", **_FEATURE_FLAGS}
+_SPLIT_FLAGS = {**_DATASET_FLAGS, "--test-fraction": "test_normal_fraction"}
+# the flags that set config values, per command, each naming its key
+# (top-level, or section.field); every command also takes --seed and --sample-rate
+CONFIG_FLAGS = {
+    "synth": {"--out": "output_dir"},
+    "features": _DATASET_FLAGS,
+    "train": {**_SPLIT_FLAGS, "--model": "model.kind", "--window-frames": "model.window_frames",
+              "--latent-dim": "model.latent_dim", "--tcn-layers": "model.tcn_layers",
+              "--tcn-channels": "model.tcn_channels", "--epochs": "train.epochs",
+              "--batch-size": "train.batch_size", "--lr": "train.lr",
+              "--validation-split": "train.validation_split"},
+    "score": _SPLIT_FLAGS,
+    "eval": _SPLIT_FLAGS,
+    "embed": {**_DATASET_FLAGS, "--dims": "embed.output_dims",
+              "--perplexity": "embed.perplexity", "--iterations": "embed.iterations"},
+    "stream": _FEATURE_FLAGS,
+}
+_CHOICES = {"model.kind": MODEL_KINDS, "embed.output_dims": (2, 3)}
+
+
+def _flag_type(dest: str):
+    """What argparse makes of a config flag: its field's type, paths as text."""
+    section, _, key = dest.rpartition(".")
+    hints = _hints(RunConfig)
+    hint = _required_type(_hints(hints[section])[key] if section else hints[key])
+    return str if hint is Path else hint
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aad",
         description="Acoustic anomaly detection pipeline for machine sounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    helps = {"synth": "generate a synthetic dataset",
+             "features": "cache log-mel features as AADF files",
+             "train": "train a model on the normal partition",
+             "score": "write the anomaly score table",
+             "eval": "AUC/pAUC report over the test partition",
+             "embed": "t-SNE embedding of features or latents",
+             "stream": "sliding-window scoring of raw samples"}
+    cmd = {}
+    for name, flags in CONFIG_FLAGS.items():
+        cmd[name] = p = sub.add_parser(name, help=helps[name])
+        p.set_defaults(func=globals()[f"cmd_{name}"])
+        p.add_argument("--config", help=f"JSON config file (or set ${CONFIG_ENV})")
+        for flag, dest in {"--seed": "seed", "--sample-rate": "sample_rate", **flags}.items():
+            p.add_argument(flag, dest=dest, metavar=dest, type=_flag_type(dest),
+                           choices=_CHOICES.get(dest))
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common_args(p)
-    p.add_argument("--out", help="dataset root to create")
+    p = cmd["synth"]
     p.add_argument("--n-normal", type=int, required=True, dest="n_normal")
     p.add_argument("--n-anomaly", type=int, required=True, dest="n_anomaly")
     p.add_argument("--duration-s", type=float, default=2.0, dest="duration_s")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("features", help="cache log-mel features as AADF files")
-    _add_common_args(p)
-    _add_feature_args(p)
-    p.add_argument("--root", help="dataset root")
-    p.add_argument("--out", help="cache output directory")
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("train", help="train a model on the normal partition")
-    _add_common_args(p)
-    _add_feature_args(p)
-    p.add_argument("--root")
-    p.add_argument("--out")
-    p.add_argument("--model", choices=["dense_ae", "cae", "cvae", "tcn_cvae"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--validation-split", type=float, dest="validation_split")
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
-    p.add_argument("--window-frames", type=int, dest="window_frames")
-    p.add_argument("--latent-dim", type=int, dest="latent_dim")
-    p.add_argument("--tcn-layers", type=int, dest="tcn_layers")
-    p.add_argument("--tcn-channels", type=int, dest="tcn_channels")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("score", help="write the anomaly score table")
-    _add_common_args(p)
-    _add_feature_args(p)
-    p.add_argument("--root")
-    p.add_argument("--out")
-    p.add_argument("--model", required=True, help="model checkpoint (.aadm)")
+    p = cmd["score"]
+    p.add_argument("--model", required=True, dest="checkpoint", help="model checkpoint (.aadm)")
     p.add_argument("--partition", choices=["all", "train", "test"], default="all")
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
     p.add_argument("--tau", type=float, help="fixed decision threshold")
     p.add_argument("--max-fpr", type=float, default=0.10, dest="max_fpr",
                    help="FPR bound used to fit tau from normal scores")
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("eval", help="AUC/pAUC report over the test partition")
-    _add_common_args(p)
-    _add_feature_args(p)
-    p.add_argument("--root")
-    p.add_argument("--out")
-    p.add_argument("--model", required=True)
+    p = cmd["eval"]
+    p.add_argument("--model", required=True, dest="checkpoint")
     p.add_argument("--p", type=float, default=0.05)
     p.add_argument("--pauc-ceil", action="store_true", dest="pauc_ceil")
     p.add_argument("--format", choices=["json", "csv", "markdown"], default="json")
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("embed", help="t-SNE embedding of features or latents")
-    _add_common_args(p)
-    _add_feature_args(p)
-    p.add_argument("--root")
-    p.add_argument("--out")
-    p.add_argument("--model", help="checkpoint; required for --space latent")
+    p = cmd["embed"]
+    p.add_argument("--model", dest="checkpoint", help="checkpoint; required for --space latent")
     p.add_argument("--space", choices=["features", "latent"], default="features")
-    p.add_argument("--dims", type=int, choices=[2, 3])
-    p.add_argument("--perplexity", type=float)
-    p.add_argument("--iterations", type=int)
     p.add_argument("--max-clips", type=int, dest="max_clips")
-    p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("stream", help="sliding-window scoring of raw samples")
-    _add_common_args(p)
-    _add_feature_args(p)
+    p = cmd["stream"]
     p.add_argument("--input", help="raw float32 LE mono file (default: stdin)")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, dest="checkpoint")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--window-s", type=float, default=2.0, dest="window_s")
     p.add_argument("--hop-s", type=float, default=1.0, dest="hop_s")
-    p.set_defaults(func=cmd_stream)
-
     return parser
 
 

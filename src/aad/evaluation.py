@@ -71,24 +71,6 @@ def pauc(records: Sequence[ScoreRecord], p: float = 0.05,
     return _h_mean(pos, hardest)
 
 
-def roc_curve(records: Sequence[ScoreRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """(FPR, TPR) points swept over the distinct score thresholds."""
-    pos, neg = _split_scores(records)
-    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
-    fpr = [0.0]
-    tpr = [0.0]
-    for t in thresholds:
-        fpr.append(float(np.mean(neg >= t)))
-        tpr.append(float(np.mean(pos >= t)))
-    return np.asarray(fpr), np.asarray(tpr)
-
-
-def auc_trapezoid(records: Sequence[ScoreRecord]) -> float:
-    """Trapezoidal area under the ROC curve; equals roc_auc."""
-    fpr, tpr = roc_curve(records)
-    return float(np.trapezoid(tpr, fpr))
-
-
 @dataclass
 class IdResult:
     machine_id: int
@@ -165,17 +147,6 @@ def report_to_dict(report: EvalReport) -> dict:
             for m in report.machines
         ],
     }
-
-
-def report_from_dict(d: dict) -> EvalReport:
-    report = EvalReport(model=d["model"], p=d["p"])
-    for m in d["machines"]:
-        machine = MachineResult(machine_type=m["type"],
-                                avg_auc=m["avg"]["auc"], avg_pauc=m["avg"]["pauc"])
-        machine.ids = [IdResult(machine_id=i["id"], auc=i["auc"], pauc=i["pauc"])
-                       for i in m["ids"]]
-        report.machines.append(machine)
-    return report
 
 
 def report_to_json(report: EvalReport) -> str:

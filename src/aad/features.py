@@ -42,7 +42,6 @@ class FeatureConfig:
     context_frames: int = 11
     fmin: float = 0.0
     fmax: float | None = None  # defaults to sample_rate / 2
-    window: str = "hann"
     log_floor: float = 1e-10
     mel_break_hz: float = 700.0
     slaney_norm: bool = False
@@ -55,8 +54,6 @@ class FeatureConfig:
         p = self.context_frames
         if p < 1 or (p > 1 and p % 2 == 0):
             raise ConfigError("context_frames must be odd or 1")
-        if self.window != "hann":
-            raise ConfigError(f"unsupported window {self.window!r}")
         if self.log_floor <= 0:
             raise ConfigError("log_floor must be positive")
 
@@ -279,12 +276,18 @@ def load_features(path: str | Path) -> FeatureMatrix:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
-    frames, dims = header["frames"], header["dims"]
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    frames, dims, rate = (header.get(k) for k in ("frames", "dims", "frame_rate"))
+    if not all(type(n) is int and n >= 0 for n in (frames, dims)) \
+            or type(rate) not in (int, float):
+        raise FormatError(f"{path}: header needs integer frames and dims "
+                          "and a numeric frame_rate")
     body = raw[12 + hlen:]
     if len(body) != frames * dims * 4:
         raise FormatError(f"{path}: truncated data section")
     data = np.frombuffer(body, dtype="<f4").reshape(frames, dims)
-    return FeatureMatrix(data=data.copy(), frame_rate=header["frame_rate"])
+    return FeatureMatrix(data=data.copy(), frame_rate=float(rate))
 
 
 @dataclass

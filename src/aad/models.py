@@ -42,9 +42,9 @@ class ModelSpec:
     context_frames: int = 5        # dense_ae input = n_mels * context_frames
     window_frames: int = 32        # conv models consume (n_mels, T) windows
     window_hop: int = 16
-    hidden: tuple = (128, 128, 128, 128)
+    hidden: tuple[int, ...] = (128, 128, 128, 128)
     bottleneck: int = 8            # dense_ae latent width
-    conv_channels: tuple = (32, 64, 128)
+    conv_channels: tuple[int, ...] = (32, 64, 128)
     latent_dim: int = 40           # cae/cvae bottleneck; tcn per-step channels
     tcn_layers: int = 6
     kernel: int = 3
@@ -244,6 +244,9 @@ class Model:
 
     def inputs_from_features(self, fm: FeatureMatrix) -> np.ndarray:
         """Raw-space training samples for this model kind."""
+        if fm.dims != self.spec.n_mels:
+            raise ShapeError(f"features have {fm.dims} mel bands, the model takes "
+                             f"{self.spec.n_mels}")
         if self.spec.kind == "dense_ae":
             return stack_frames(fm, self.spec.context_frames).data.astype(_DTYPE)
         return self._frame_windows(fm)

@@ -63,9 +63,6 @@ class TrainLog:
     def train_losses(self) -> list[float]:
         return [e.train_loss for e in self.epochs]
 
-    def val_losses(self) -> list[float]:
-        return [e.val_loss for e in self.epochs]
-
 
 def _batch_loss(model: Model, batch: np.ndarray, use_vae: bool,
                 rng: np.random.Generator | None):

@@ -197,10 +197,10 @@ def tsne_embed(x: np.ndarray, cfg: EmbedConfig,
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     kl_history: list[float] = []
+    q, num = _student_t_q(y)  # of the current y: the next gradient and the last KL share it
     for it in range(cfg.iterations):
         exaggerate = it < cfg.exaggeration_iters
         p_eff = p * exaggeration if exaggerate else p
-        q, num = _student_t_q(y)
         w = (p_eff - q) * num
         grad = 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
         if not np.all(np.isfinite(grad)):
@@ -213,7 +213,8 @@ def tsne_embed(x: np.ndarray, cfg: EmbedConfig,
         velocity = momentum * velocity - cfg.learning_rate * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
-        kl_history.append(_kl(p, _student_t_q(y)[0]))
+        q, num = _student_t_q(y)
+        kl_history.append(_kl(p, q))
     label_list = list(labels) if labels is not None else ["unlabeled"] * n
     return Embedding(points=y, labels=label_list, kl_history=kl_history)
 

@@ -329,7 +329,8 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("text", ['{"seed": 7,', '{"features": [1]}',
                                       '{"model": {"bogus": 1}}', '{"seed": "x"}',
                                       '{"features": {"log_floor": "x"}}',
-                                      '{"model": {"hidden": 3}}', '{"sed": 7}', '[1, 2]'])
+                                      '{"model": {"hidden": 3}}', '{"sed": 7}', '[1, 2]',
+                                      '{"features": {"window": "hann"}}', '{"sample_rate": 0}'])
     def test_bad_config_file_is_one_line_error(self, workspace, tmp_path, text, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
@@ -366,6 +367,20 @@ class TestExitCodes:
                    "--model", "/nonexistent.aadm", *SMALL_FLAGS])
         assert rc == 1
         assert "aad eval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["score", "stream"])
+    def test_features_the_model_does_not_take_are_one_line_error(self, workspace, cmd,
+                                                                 tmp_path, capsys):
+        raw = tmp_path / "audio.f32"
+        raw.write_bytes(np.zeros(3 * 16000, dtype="<f4").tobytes())
+        args = {"score": ["--root", workspace / "data", "--out", tmp_path / "out"],
+                "stream": ["--input", raw, "--tau", "1"]}[cmd]
+        rc = main([cmd, *map(str, args), "--model", str(workspace / "run" / "last.aadm"),
+                   "--n-mels", "8", "--context-frames", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"aad {cmd}: ")
+        assert "8 mel bands" in err[0]
 
     def test_empty_dataset_is_pipeline_error(self, tmp_path, capsys):
         rc = main(["features", "--root", str(tmp_path),

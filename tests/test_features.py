@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -275,6 +277,49 @@ class TestFeatureCache:
         path.write_bytes(raw[:-8])
         with pytest.raises(FormatError):
             load_features(path)
+
+    @staticmethod
+    def _with_header(tmp_path, header):
+        blob = json.dumps(header).encode()
+        path = tmp_path / "h.aadf"
+        path.write_bytes(b"AADF" + struct.pack("<II", 1, len(blob)) + blob)
+        return path
+
+    @pytest.mark.parametrize("header", [
+        {"dims": 0, "frame_rate": 1.0},
+        {"frames": 0, "frame_rate": 1.0},
+        {"frames": 0, "dims": 0},
+        {"frames": "0", "dims": 0, "frame_rate": 1.0},
+        {"frames": 0, "dims": 0.0, "frame_rate": 1.0},
+        {"frames": -1, "dims": -1, "frame_rate": 1.0},
+        {"frames": True, "dims": 0, "frame_rate": 1.0},
+        {"frames": 0, "dims": 0, "frame_rate": None},
+        [0, 0, 1.0],
+    ])
+    def test_missing_or_mistyped_header_field_is_format_error(self, tmp_path, header):
+        with pytest.raises(FormatError):
+            load_features(self._with_header(tmp_path, header))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.integers(0, 10_000), flip_at=st.integers(0, 10_000),
+           flip=st.integers(1, 255), truncate=st.booleans())
+    def test_damaged_file_loads_or_raises_format_error(self, tmp_path_factory, cut,
+                                                       flip_at, flip, truncate):
+        fm = FeatureMatrix(np.arange(12, dtype=np.float32).reshape(3, 4), 31.25)
+        path = tmp_path_factory.mktemp("aadf") / "f.aadf"
+        save_features(fm, path, FeatureConfig(**SMALL))
+        raw = bytearray(path.read_bytes())
+        header_end = 12 + struct.unpack_from("<I", raw, 8)[0]
+        if truncate:
+            raw = raw[:cut % len(raw)]
+        else:
+            raw[flip_at % header_end] ^= flip
+        path.write_bytes(bytes(raw))
+        try:
+            back = load_features(path)
+        except FormatError:
+            return
+        assert back.data.shape == (back.frames, back.dims)
 
 
 class TestFeatureConfigValidation:

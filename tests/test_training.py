@@ -76,7 +76,7 @@ class TestTrainBehavior:
         m1, log1 = train(build(small_dense_spec(seed=1)), clips, cfg)
         m2, log2 = train(build(small_dense_spec(seed=1)), clips, cfg)
         assert log1.train_losses() == log2.train_losses()
-        assert log1.val_losses() == log2.val_losses()
+        assert [e.val_loss for e in log1.epochs] == [e.val_loss for e in log2.epochs]
         for p1, p2 in zip(m1.params, m2.params):
             np.testing.assert_array_equal(p1.data, p2.data)
 
@@ -86,7 +86,7 @@ class TestTrainBehavior:
         _, log = train(build(small_dense_spec(seed=3)), clips, cfg)
         losses = log.train_losses()
         assert losses[-1] < 0.5 * losses[0]
-        assert not math.isnan(log.val_losses()[-1])
+        assert not math.isnan(log.epochs[-1].val_loss)
 
     def test_rolling_median_loss_non_increasing(self):
         clips = synthetic_clip_features(12, seed=6)

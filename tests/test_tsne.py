@@ -9,6 +9,8 @@ from aad.tsne import (
     emit_plot,
     pairwise_affinities,
     tsne_embed,
+    _kl,
+    _student_t_q,
 )
 from conftest import silhouette
 
@@ -149,3 +151,12 @@ class TestEmitPlot:
         svg = [p for p in paths if p.suffix == ".svg"][0].read_text()
         assert svg.count('fill="#ff7f0e"') == 4
         assert svg.count('fill="#1f77b4"') == 8
+
+
+def test_last_kl_entry_is_of_the_returned_points():
+    x, labels = two_clusters(n_per=10, dims=8)
+    cfg = EmbedConfig(perplexity=5.0, iterations=30, seed=2)
+    emb = tsne_embed(x, cfg, labels=labels)
+    p = pairwise_affinities(x, cfg.perplexity)
+    assert len(emb.kl_history) == cfg.iterations
+    assert emb.kl_history[-1] == _kl(p, _student_t_q(emb.points)[0])

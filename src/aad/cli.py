@@ -20,6 +20,7 @@ stream reads at it (unset: ``DEFAULT_RATE``). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -51,6 +52,10 @@ CONFIG_ENV = "AAD_CONFIG"
 DEFAULT_RATE = 16000  # Hz, of synth output and stream input when sample_rate is unset
 
 _STREAM_CHUNK = 8192  # most samples taken from the input per read
+
+# glibc mallopt parameters, and the most its dynamic mmap threshold ever grows to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
 
 
 @dataclass
@@ -319,11 +324,12 @@ def cmd_stream(args) -> int:
 _FEATURE_FLAGS = {"--n-fft": "features.n_fft", "--hop": "features.hop",
                   "--n-mels": "features.n_mels", "--context-frames": "features.context_frames"}
 _DATASET_FLAGS = {"--root": "dataset_root", "--out": "output_dir", **_FEATURE_FLAGS}
-_SPLIT_FLAGS = {**_DATASET_FLAGS, "--test-fraction": "test_normal_fraction"}
+_SPLIT_FLAGS = {**_DATASET_FLAGS, "--seed": "seed", "--test-fraction": "test_normal_fraction"}
 # the flags that set config values, per command, each naming its key
-# (top-level, or section.field); every command also takes --seed and --sample-rate
+# (top-level, or section.field); every command also takes --sample-rate.
+# features and stream read no seed, so they have no --seed
 CONFIG_FLAGS = {
-    "synth": {"--out": "output_dir"},
+    "synth": {"--seed": "seed", "--out": "output_dir"},
     "features": _DATASET_FLAGS,
     "train": {**_SPLIT_FLAGS, "--model": "model.kind", "--window-frames": "model.window_frames",
               "--latent-dim": "model.latent_dim", "--tcn-layers": "model.tcn_layers",
@@ -332,7 +338,7 @@ CONFIG_FLAGS = {
               "--validation-split": "train.validation_split"},
     "score": _SPLIT_FLAGS,
     "eval": _SPLIT_FLAGS,
-    "embed": {**_DATASET_FLAGS, "--dims": "embed.output_dims",
+    "embed": {**_DATASET_FLAGS, "--seed": "seed", "--dims": "embed.output_dims",
               "--perplexity": "embed.perplexity", "--iterations": "embed.iterations"},
     "stream": _FEATURE_FLAGS,
 }
@@ -365,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd[name] = p = sub.add_parser(name, help=helps[name])
         p.set_defaults(func=globals()[f"cmd_{name}"])
         p.add_argument("--config", help=f"JSON config file (or set ${CONFIG_ENV})")
-        for flag, dest in {"--seed": "seed", "--sample-rate": "sample_rate", **flags}.items():
+        for flag, dest in {"--sample-rate": "sample_rate", **flags}.items():
             p.add_argument(flag, dest=dest, metavar=dest, type=_flag_type(dest),
                            choices=_CHOICES.get(dest))
 
@@ -401,7 +407,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Fix glibc malloc's thresholds at the ceiling of its own dynamic adjustment.
+
+    Training frees each step's tape and gradients as soon as they are used.
+    With thresholds that follow the largest block a run happens to have
+    freed, malloc hands that memory back to the OS after a step and faults
+    it in again in the next: tens of thousands of page faults per
+    ``aad train`` at small feature sizes. Fixed thresholds keep up to
+    64 MiB of freed memory mapped for reuse. C libraries without
+    ``mallopt`` are left as they are.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # no C library to load by that name
+        return
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,15 +14,17 @@ back so anomaly scores live in feature space.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, ShapeError, SpecError, SpecMismatchError, TooShortError
-from .features import FeatureMatrix, stack_frames
+from .features import FeatureMatrix
 from .tensor import Tensor, backward, conv1d_causal, dense, downsample, upsample
 
 CHECKPOINT_MAGIC = b"AADM"
@@ -31,6 +33,7 @@ CHECKPOINT_VERSION = 1
 MODEL_KINDS = ("dense_ae", "cae", "cvae", "tcn_cvae")
 
 _DTYPE = np.float32
+_STATS_ROWS = 1024  # frames per float64 chunk of the normalization sums
 
 
 @dataclass
@@ -55,6 +58,12 @@ class ModelSpec:
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
         self.conv_channels = tuple(self.conv_channels)
+        for f in fields(self)[1:]:  # each field but kind has a default of its type
+            value, want = getattr(self, f.name), type(f.default)
+            if not (all(type(v) is int for v in value) if want is tuple
+                    else type(value) is want):
+                expected = "a tuple of int" if want is tuple else want.__name__
+                raise SpecError(f"{f.name} must be {expected}, got {value!r}")
         if self.kind not in MODEL_KINDS:
             raise SpecError(f"unknown model kind {self.kind!r}")
         if self.n_mels < 1 or self.latent_dim < 1:
@@ -139,7 +148,7 @@ def vae_loss(x: Tensor, x_hat: Tensor, ld: LatentDistribution | None) -> VaeLoss
         raise ShapeError(f"vae_loss: shapes {x.shape} and {x_hat.shape} differ")
     batch = x.shape[0] if x.data.ndim > 1 else 1
     diff = x - x_hat
-    recon = (diff * diff).sum() * (0.5 / batch)
+    recon = diff.sum_squares() * (0.5 / batch)
     if ld is None:
         kl = Tensor(np.asarray(0.0, dtype=x.dtype))
     else:
@@ -188,13 +197,18 @@ def _he_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarr
 
 
 class Model:
-    """Shared machinery: parameter registry and normalization buffers."""
+    """Shared machinery: parameter registry and normalization buffers.
 
-    def __init__(self, spec: ModelSpec):
+    ``stored`` maps each parameter's shape to its array, called in registry
+    order; without it, parameters get the He init seeded by ``spec.seed``.
+    """
+
+    def __init__(self, spec: ModelSpec, stored: Callable[[tuple], np.ndarray] | None = None):
         self.spec = spec
         self.params: list[Tensor] = []
         self.param_names: list[str] = []
-        self._rng = np.random.default_rng(spec.seed)
+        self._stored = stored
+        self._rng = np.random.default_rng(spec.seed) if stored is None else None
         dims = spec.n_mels if spec.kind != "dense_ae" else spec.n_mels * spec.context_frames
         self.feature_mean = np.zeros(dims, dtype=_DTYPE)
         self.feature_std = np.ones(dims, dtype=_DTYPE)
@@ -202,7 +216,12 @@ class Model:
     # -- parameter management --
 
     def _param(self, name: str, shape: tuple, fan_in: int, zero: bool = False) -> Tensor:
-        data = np.zeros(shape, dtype=_DTYPE) if zero else _he_uniform(self._rng, shape, fan_in)
+        if self._stored is not None:
+            data = self._stored(shape)
+        elif zero:
+            data = np.zeros(shape, dtype=_DTYPE)
+        else:
+            data = _he_uniform(self._rng, shape, fan_in)
         t = Tensor(data, requires_grad=True)
         self.params.append(t)
         self.param_names.append(name)
@@ -218,10 +237,12 @@ class Model:
     def _norm(self, x: np.ndarray) -> np.ndarray:
         if not self.spec.normalize:
             return np.asarray(x, dtype=_DTYPE)
-        if x.ndim == 2:  # (rows, dims)
-            return ((x - self.feature_mean) / self.feature_std).astype(_DTYPE)
-        return ((x - self.feature_mean[None, :, None])
-                / self.feature_std[None, :, None]).astype(_DTYPE)
+        mean, std = self.feature_mean, self.feature_std
+        if x.ndim == 3:  # (windows, mels, T); else (rows, dims)
+            mean, std = mean[:, None], std[:, None]
+        y = x - mean
+        y /= std
+        return y.astype(_DTYPE, copy=False)
 
     def _denorm(self, x: np.ndarray) -> np.ndarray:
         if not self.spec.normalize:
@@ -232,24 +253,74 @@ class Model:
 
     # -- feature plumbing --
 
-    def _frame_windows(self, fm: FeatureMatrix) -> np.ndarray:
-        """Slice (frames, mels) into (windows, mels, T), covering the tail."""
-        t_win, hop = self.spec.window_frames, self.spec.window_hop
-        if fm.frames < t_win:
-            raise TooShortError(f"{fm.frames} frames < window_frames {t_win}")
-        starts = list(range(0, fm.frames - t_win + 1, hop))
-        if starts[-1] != fm.frames - t_win:
-            starts.append(fm.frames - t_win)
-        return np.stack([fm.data[s:s + t_win].T for s in starts]).astype(_DTYPE)
+    @property
+    def _input_frames(self) -> int:
+        """Consecutive frames one model input covers."""
+        if self.spec.kind == "dense_ae":
+            return self.spec.context_frames
+        return self.spec.window_frames
 
-    def inputs_from_features(self, fm: FeatureMatrix) -> np.ndarray:
-        """Raw-space training samples for this model kind."""
+    def input_starts(self, fm: FeatureMatrix) -> np.ndarray:
+        """First frame of each of a clip's model inputs, in order.
+
+        Context rows start at every frame; windows every ``window_hop``
+        frames, plus one more that ends at the last frame.
+        """
         if fm.dims != self.spec.n_mels:
             raise ShapeError(f"features have {fm.dims} mel bands, the model takes "
                              f"{self.spec.n_mels}")
+        span = self._input_frames
+        if fm.frames < span:
+            name = "context_frames" if self.spec.kind == "dense_ae" else "window_frames"
+            raise TooShortError(f"{fm.frames} frames < {name} {span}")
+        last = fm.frames - span
         if self.spec.kind == "dense_ae":
-            return stack_frames(fm, self.spec.context_frames).data.astype(_DTYPE)
-        return self._frame_windows(fm)
+            return np.arange(last + 1)
+        starts = np.arange(0, last + 1, self.spec.window_hop)
+        return starts if starts[-1] == last else np.append(starts, last)
+
+    def input_view(self, frames: np.ndarray) -> np.ndarray:
+        """Every model input of a (frames, mels) matrix, as one strided view.
+
+        Input s starts at frame s: context rows are (context_frames * mels,)
+        and frame-major, windows are (mels, window_frames). Indexing the
+        view with input starts copies out only those inputs.
+        """
+        frames = np.ascontiguousarray(frames, dtype=_DTYPE)
+        span, mels = self._input_frames, frames.shape[1]
+        if self.spec.kind == "dense_ae":  # P consecutive rows are one run of memory
+            return sliding_window_view(frames.reshape(-1), span * mels)[::mels]
+        return sliding_window_view(frames, span, axis=0)
+
+    def fit_normalization(self, frames: np.ndarray, starts: np.ndarray) -> None:
+        """Set mean/std over the inputs ``input_view(frames)[starts]``.
+
+        The moments are float64 sums over the frame matrix, in which each
+        frame counts once for every input that holds it: at each context
+        position for context rows, which keep one mean per position and
+        mel band, and anywhere in the window for windows, which share one
+        mean per mel band.
+        """
+        n, span = len(frames), self._input_frames
+        groups = ([(i, i + 1) for i in range(span)] if self.spec.kind == "dense_ae"
+                  else [(0, span)])
+        # weights[g, f]: inputs holding frame f at a position of group g
+        weights = np.stack([np.cumsum(np.bincount(starts + lo, minlength=n + 1)
+                                      - np.bincount(starts + hi, minlength=n + 1))[:n]
+                            for lo, hi in groups]).astype(np.float64)
+        total = np.zeros((2, len(groups), frames.shape[1]))
+        for lo in range(0, n, _STATS_ROWS):
+            x = frames[lo:lo + _STATS_ROWS].astype(np.float64)
+            w = weights[:, lo:lo + _STATS_ROWS]
+            total[0] += w @ x
+            total[1] += w @ (x * x)
+        mean, mean_sq = total / weights.sum(axis=1)[:, None]
+        std = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
+        self.set_normalization(mean.ravel(), std.ravel())
+
+    def inputs_from_features(self, fm: FeatureMatrix) -> np.ndarray:
+        """Raw-space model inputs of one clip."""
+        return self.input_view(fm.data)[self.input_starts(fm)]
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> ForwardResult:
         raise NotImplementedError
@@ -284,8 +355,8 @@ class Model:
 class DenseAutoencoder(Model):
     """Mirrored fully-connected autoencoder over stacked context vectors."""
 
-    def __init__(self, spec: ModelSpec):
-        super().__init__(spec)
+    def __init__(self, spec: ModelSpec, stored=None):
+        super().__init__(spec, stored)
         d = spec.n_mels * spec.context_frames
         widths = [d, *spec.hidden, spec.bottleneck, *reversed(spec.hidden), d]
         self.layers = []
@@ -320,8 +391,8 @@ class ConvAutoencoder(Model):
     (keep every other frame); the decoder mirrors with repeat-upsampling.
     """
 
-    def __init__(self, spec: ModelSpec):
-        super().__init__(spec)
+    def __init__(self, spec: ModelSpec, stored=None):
+        super().__init__(spec, stored)
         chans = [spec.n_mels, *spec.conv_channels]
         k = 3
         self.enc = []
@@ -390,8 +461,8 @@ class TcnVae(Model):
     complete window with centered convolutions.
     """
 
-    def __init__(self, spec: ModelSpec):
-        super().__init__(spec)
+    def __init__(self, spec: ModelSpec, stored=None):
+        super().__init__(spec, stored)
         k, c = spec.kernel, spec.tcn_channels
         self.blocks = []
         cin = spec.n_mels
@@ -438,14 +509,14 @@ class TcnVae(Model):
         return self._encode_dist(x).mu.data
 
 
-def build(spec: ModelSpec) -> Model:
-    """Construct a model with seeded parameters."""
+def build(spec: ModelSpec, stored: Callable[[tuple], np.ndarray] | None = None) -> Model:
+    """Construct a model: seeded parameters, or ``stored`` ones (see Model)."""
     if spec.kind == "dense_ae":
-        return DenseAutoencoder(spec)
+        return DenseAutoencoder(spec, stored)
     if spec.kind in ("cae", "cvae"):
-        return ConvAutoencoder(spec)
+        return ConvAutoencoder(spec, stored)
     if spec.kind == "tcn_cvae":
-        return TcnVae(spec)
+        return TcnVae(spec, stored)
     raise SpecError(f"unknown model kind {spec.kind!r}")
 
 
@@ -467,7 +538,7 @@ def _read_tensor(buf: bytes, off: int, path) -> tuple[np.ndarray, int]:
         raise FormatError(f"{path}: bad tensor header")
     shape = struct.unpack_from(f"<{ndim}I", buf, off)
     off += 4 * ndim
-    count = int(np.prod(shape)) if ndim else 1
+    count = math.prod(shape)
     end = off + 4 * count
     if end > len(buf):
         raise FormatError(f"{path}: truncated tensor data")
@@ -493,8 +564,11 @@ def checkpoint_save(model: Model, path: str | Path) -> None:
 def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) -> Model:
     """Rebuild a model from a checkpoint; bit-identical parameters.
 
-    With ``expected_spec`` given, a differing stored spec raises
-    SpecMismatchError instead of silently returning another architecture.
+    The model is built from the stored tensors, with no random init.
+    A malformed file, a shape unlike the spec's and a non-finite value
+    are FormatError. With ``expected_spec`` given, a differing stored
+    spec raises SpecMismatchError instead of silently returning another
+    architecture.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -509,26 +583,29 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
     try:
         header = json.loads(buf[12:12 + hlen].decode("utf-8"))
         spec = ModelSpec(**header["spec"])
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+            SpecError) as exc:
         raise FormatError(f"{path}: bad spec header: {exc}") from exc
     if expected_spec is not None and asdict(spec) != asdict(expected_spec):
         raise SpecMismatchError(
             f"{path}: checkpoint holds kind={spec.kind!r}, "
             f"expected kind={expected_spec.kind!r} spec"
         )
-    model = build(spec)
     off = 12 + hlen
-    tensors = []
-    n_expected = len(model.params) + (2 if spec.normalize else 0)
-    for _ in range(n_expected):
+
+    def stored(shape: tuple) -> np.ndarray:
+        nonlocal off
         arr, off = _read_tensor(buf, off, path)
-        tensors.append(arr)
+        if arr.shape != shape:
+            raise FormatError(f"{path}: tensor shape {arr.shape} != {shape}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor of shape {shape} holds non-finite values")
+        return arr
+
+    model = build(spec, stored)
+    if spec.normalize:
+        dims = model.feature_mean.shape
+        model.feature_mean, model.feature_std = stored(dims), stored(dims)
     if off != len(buf):
         raise FormatError(f"{path}: trailing bytes after tensors")
-    for p, arr in zip(model.params, tensors):
-        if p.data.shape != arr.shape:
-            raise FormatError(f"{path}: tensor shape {arr.shape} != {p.data.shape}")
-        p.data = arr
-    if spec.normalize:
-        model.feature_mean, model.feature_std = tensors[-2], tensors[-1]
     return model

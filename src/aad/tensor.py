@@ -97,6 +97,15 @@ class Tensor:
         return _unary(self, "sum", np.asarray(self.data.sum()),
                       lambda g: np.full_like(self.data, g))
 
+    def sum_squares(self) -> "Tensor":
+        """Sum of x * x; the squares are not kept for the backward pass."""
+        def grad_fn(g):
+            gx = g * self.data
+            gx *= 2  # exact, so equal to the two g * x terms of (x * x).sum()
+            return gx
+        return _unary(self, "sum_squares", np.asarray((self.data * self.data).sum()),
+                      grad_fn)
+
     def mean(self) -> "Tensor":
         n = self.data.size
         return _unary(self, "mean", np.asarray(self.data.mean()),
@@ -265,8 +274,12 @@ def upsample(x: Tensor, factor: int) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Interior-node gradients are per-call scratch; leaf gradients
-    accumulate across calls until the caller zeroes them.
+    Leaf gradients accumulate across calls until the caller zeroes them.
+    An interior node's gradient is scratch: it is dropped as soon as the
+    node's own backward step has passed it on to its parents, so the sweep
+    holds only the gradients of nodes that have received one and not yet
+    passed it on, never one per node of the tape. After the call, only
+    leaves hold a ``grad``.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -292,6 +305,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad = None
 
 
 def zero_grads(params) -> None:

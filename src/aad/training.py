@@ -3,6 +3,12 @@
 The guard is strict: any clip not labeled normal is rejected before a
 single gradient step. Shuffling is reseeded per epoch from the master
 seed, so (seed, data, config) fixes the final parameters bit for bit.
+
+Training copies the clips' frames once, into one float32 matrix, and keeps
+the start row of every model input. Each batch gathers and normalizes only
+its own inputs, and the normalization statistics are float64 sums over the
+frames, so the inputs (P-frame context rows, overlapping windows) are never
+all held at once.
 """
 
 from __future__ import annotations
@@ -71,14 +77,29 @@ def _batch_loss(model: Model, batch: np.ndarray, use_vae: bool,
     return vae_loss(x, out.recon, out.latent if use_vae else None).total
 
 
-def _eval_loss(model: Model, samples: np.ndarray, use_vae: bool,
+def _frame_matrix(model: Model,
+                  clips: Sequence[ClipFeatures]) -> tuple[np.ndarray, np.ndarray]:
+    """The clips' frames as one float32 matrix, and the row where each input starts.
+
+    Inputs never cross a clip boundary, since each clip's starts leave room
+    for a whole input inside it.
+    """
+    starts, offset = [], 0
+    for c in clips:
+        starts.append(offset + model.input_starts(c.features))
+        offset += c.features.frames
+    return (np.concatenate([c.features.data for c in clips], dtype=np.float32),
+            np.concatenate(starts))
+
+
+def _eval_loss(model: Model, frames: np.ndarray, starts: np.ndarray, use_vae: bool,
                batch_size: int) -> float:
+    inputs = model.input_view(frames)
     total = 0.0
-    for i in range(0, len(samples), batch_size):
-        batch = samples[i:i + batch_size]
-        loss = _batch_loss(model, batch, use_vae, rng=None)
-        total += float(loss.data) * len(batch)
-    return total / len(samples)
+    for i in range(0, len(starts), batch_size):
+        batch = model._norm(inputs[starts[i:i + batch_size]])
+        total += float(_batch_loss(model, batch, use_vae, rng=None).data) * len(batch)
+    return total / len(starts)
 
 
 def train(model: Model, clips: Sequence[ClipFeatures], cfg: TrainConfig,
@@ -108,16 +129,12 @@ def train(model: Model, clips: Sequence[ClipFeatures], cfg: TrainConfig,
     if not fit_clips:
         raise ContractError("validation split left no training clips")
 
-    samples = np.concatenate([model.inputs_from_features(c.features)
-                              for c in fit_clips])
+    # each batch is gathered from the frame matrix: the inputs are never all held
+    frames, starts = _frame_matrix(model, fit_clips)
     if model.spec.normalize:
-        axes = (0,) if samples.ndim == 2 else (0, 2)
-        model.set_normalization(samples.mean(axis=axes), samples.std(axis=axes))
-    samples = model._norm(samples)
-    val_samples = None
-    if val_clips:
-        val_samples = model._norm(np.concatenate(
-            [model.inputs_from_features(c.features) for c in val_clips]))
+        model.fit_normalization(frames, starts)
+    inputs = model.input_view(frames)
+    val = _frame_matrix(model, val_clips) if val_clips else None
 
     state = init_adam(model.params, lr=cfg.lr)
     log = TrainLog()
@@ -129,21 +146,22 @@ def train(model: Model, clips: Sequence[ClipFeatures], cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         rng = np.random.default_rng([cfg.seed, 2, epoch])
-        perm = rng.permutation(len(samples))
+        perm = rng.permutation(len(starts))
         total = 0.0
-        for b, start in enumerate(range(0, len(samples), cfg.batch_size)):
-            batch = samples[perm[start:start + cfg.batch_size]]
+        for b, start in enumerate(range(0, len(starts), cfg.batch_size)):
+            batch = model._norm(inputs[starts[perm[start:start + cfg.batch_size]]])
             loss = _batch_loss(model, batch, use_vae, rng=rng)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise DivergenceError(epoch=epoch, batch=b)
             backward(loss)
+            del loss  # the tape holds every activation of the batch
             adam_step(model.params, state)
             zero_grads(model.params)
             total += value * len(batch)
-        train_loss = total / len(samples)
-        val_loss = (_eval_loss(model, val_samples, use_vae, cfg.batch_size)
-                    if val_samples is not None else math.nan)
+        train_loss = total / len(starts)
+        val_loss = (_eval_loss(model, *val, use_vae, cfg.batch_size)
+                    if val is not None else math.nan)
         log.epochs.append(EpochStats(epoch=epoch, train_loss=train_loss,
                                      val_loss=val_loss,
                                      seconds=time.perf_counter() - t0))

@@ -273,6 +273,23 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("cmd", ["stream", "score"])
+    def test_checkpoint_commands_leave_numpy_random_unloaded(self, workspace, tmp_path, cmd):
+        # loading a checkpoint draws no random init, so numpy.random is never imported
+        raw = tmp_path / "audio.f32"
+        raw.write_bytes(np.zeros(3 * 16000, "<f4").tobytes())
+        args = {"stream": [*stream_args(workspace), "--input", raw],
+                "score": ["score", "--root", workspace / "data", "--out", tmp_path / "out",
+                          "--model", workspace / "run" / "last.aadm", "--partition", "all",
+                          *SMALL_FLAGS]}[cmd]
+        _, env = cli_command()
+        code = ("import sys, aad.cli; rc = aad.cli.main(sys.argv[1:]); "
+                "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(rc)")
+        done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.strip().splitlines()[-1] == "False"
+
 
 class TestScoreErrors:
     def test_non_finite_normal_score_is_one_line_error(self, workspace, tmp_path, capsys):
@@ -318,6 +335,15 @@ class TestConfigPrecedence:
         assert rc == 0
         fm = load_features(sorted(out.rglob("*.aadf"))[0])
         assert fm.dims == 8
+
+    @pytest.mark.parametrize("cmd", ["stream", "features"])
+    def test_seed_flag_of_a_command_that_reads_no_seed_is_usage_error(self, workspace,
+                                                                        tmp_path, cmd):
+        args = {"stream": stream_args(workspace),
+                "features": ["features", "--root", workspace / "data",
+                             "--out", tmp_path / "cache", *SMALL_FLAGS]}[cmd]
+        assert main([*map(str, args), "--seed", "1"]) == 2
+        assert not (tmp_path / "cache").exists()
 
     def test_unknown_config_key_rejected(self, workspace, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -137,7 +137,7 @@ def world(tmp_path_factory):
 
 
 def flag_of(cmd, key):
-    flags = {"--seed": "seed", "--sample-rate": "sample_rate", **CONFIG_FLAGS[cmd]}
+    flags = {"--sample-rate": "sample_rate", **CONFIG_FLAGS[cmd]}
     return next((flag for flag, dest in flags.items() if dest == key), None)
 
 
@@ -248,7 +248,7 @@ def test_config_that_was_ignored_or_crashed_is_one_line_error(world, tmp_path, c
                                                               capsys):
     (tmp_path / "cfg.json").write_text(text)
     rc = main([cmd, "--config", str(tmp_path / "cfg.json"), "--root", str(world / "data"),
-               "--out", str(tmp_path / "out"), "--n-mels", "16", "--seed", "9"])
+               "--out", str(tmp_path / "out"), "--n-mels", "16"])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"aad {cmd}: ")

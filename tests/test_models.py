@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aad.errors import FormatError, ShapeError, SpecError, SpecMismatchError
 from aad.features import FeatureMatrix
@@ -64,6 +68,13 @@ class TestBuild:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SpecError):
             ModelSpec(kind="transformer")
+
+    @pytest.mark.parametrize("field,value", [("n_mels", 1.5), ("n_mels", True),
+                                             ("hidden", (128.0,)), ("normalize", 1),
+                                             ("window_hop", "16")])
+    def test_field_of_wrong_type_rejected(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            ModelSpec(kind="dense_ae", **{field: value})
 
 
 class TestReparameterize:
@@ -318,3 +329,67 @@ class TestCheckpoint:
         other = default_spec("tcn_cvae", n_mels=8)
         with pytest.raises(SpecMismatchError):
             checkpoint_load(path, expected_spec=other)
+
+    @pytest.mark.parametrize("where", ["param", "mean", "std"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, where, value):
+        model = self._small_model()
+        model.set_normalization(np.full(8, -40.0), np.full(8, 9.0))
+        target = {"param": model.params[3].data, "mean": model.feature_mean,
+                  "std": model.feature_std}[where]
+        target.flat[1] = value
+        path = tmp_path / "m.aadm"
+        checkpoint_save(model, path)
+        with pytest.raises(FormatError, match="non-finite"):
+            checkpoint_load(path)
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        model = self._small_model("tcn_cvae")
+        path = tmp_path / "m.aadm"
+        checkpoint_save(model, path)
+
+        def no_rng(*_):
+            raise AssertionError("checkpoint_load drew a random init")
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        back = checkpoint_load(path)
+        for p1, p2 in zip(model.params, back.params):
+            np.testing.assert_array_equal(p1.data, p2.data)
+
+    # one flipped byte each: a float size ("128" -> "1.8"), an unknown kind
+    @pytest.mark.parametrize("old,new,key", [(b"[128]", b"[1.8]", "hidden"),
+                                             (b'"dense_ae"', b'"Dense_ae"', "kind")])
+    def test_header_spec_it_rejects_is_format_error(self, tmp_path, old, new, key):
+        model = build(default_spec("dense_ae", n_mels=8, context_frames=3, hidden=(128,),
+                                   bottleneck=4))
+        path = tmp_path / "m.aadm"
+        checkpoint_save(model, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(old, new, 1))
+        with pytest.raises(FormatError, match=key):
+            checkpoint_load(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["dense_ae", "cvae", "tcn_cvae"]),
+           cut=st.integers(0, 100_000), flip_at=st.integers(0, 100_000),
+           flip=st.integers(1, 255), in_header=st.booleans(), truncate=st.booleans())
+    def test_damaged_file_loads_or_raises_format_error(self, tmp_path_factory, kind, cut,
+                                                       flip_at, flip, in_header, truncate):
+        # three-digit sizes, so a flipped byte can also make a float ("128" -> "1.8")
+        model = build(default_spec(kind, n_mels=8, window_frames=16, conv_channels=(8, 16),
+                                   latent_dim=6, context_frames=3, hidden=(128,),
+                                   bottleneck=4, tcn_layers=2, tcn_channels=8,
+                                   window_hop=128))
+        path = tmp_path_factory.mktemp("aadm") / "m.aadm"
+        checkpoint_save(model, path)
+        raw = bytearray(path.read_bytes())
+        header_end = 12 + struct.unpack_from("<I", raw, 8)[0]
+        if truncate:
+            raw = raw[:cut % len(raw)]
+        else:
+            raw[flip_at % (header_end if in_header else len(raw))] ^= flip
+        path.write_bytes(bytes(raw))
+        try:
+            back = checkpoint_load(path)
+        except FormatError:
+            return
+        assert all(np.isfinite(p.data).all() for p in back.params)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from aad.audio_io import ANOMALY, NORMAL
 from aad.errors import ContractError, DivergenceError, SemiSupervisionError
-from aad.features import ClipFeatures, FeatureMatrix
+from aad.features import ClipFeatures, FeatureConfig, FeatureMatrix, stack_frames
 from aad.models import build, default_spec
 from aad.training import (
     TrainConfig,
@@ -143,3 +144,61 @@ class TestTrainLogCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,seconds"
         assert len(lines) == 4
+
+
+def direct_inputs(model, fm):
+    """A clip's model inputs the direct way: stacked context rows, or window slices
+    every window_hop frames plus one ending at the last frame."""
+    spec = model.spec
+    if spec.kind == "dense_ae":
+        return stack_frames(fm, spec.context_frames).data
+    t, hop = spec.window_frames, spec.window_hop
+    starts = list(range(0, fm.frames - t + 1, hop))
+    if starts[-1] != fm.frames - t:
+        starts.append(fm.frames - t)
+    return np.stack([fm.data[s:s + t].T for s in starts])
+
+
+class TestFrameMatrix:
+    @pytest.mark.parametrize("kind", ["dense_ae", "cvae", "tcn_cvae"])
+    def test_gathered_inputs_and_stats_match_the_direct_inputs(self, kind):
+        clips = synthetic_clip_features(4, frames=37, dims=8, seed=2)
+        model = build(default_spec(kind, n_mels=8, context_frames=3, hidden=(16,),
+                                   window_frames=16, window_hop=8, conv_channels=(8, 16),
+                                   tcn_layers=2, tcn_channels=8, latent_dim=4))
+        inputs = np.concatenate([direct_inputs(model, c.features) for c in clips])
+        for c in clips:
+            np.testing.assert_array_equal(model.inputs_from_features(c.features),
+                                          direct_inputs(model, c.features))
+        frames = np.concatenate([c.features.data for c in clips])
+        offsets = np.cumsum([0] + [c.features.frames for c in clips])
+        starts = np.concatenate([o + model.input_starts(c.features)
+                                 for o, c in zip(offsets, clips)])
+        np.testing.assert_array_equal(model.input_view(frames)[starts], inputs)
+        model.fit_normalization(frames, starts)
+        axes = (0,) if inputs.ndim == 2 else (0, 2)
+        exact = inputs.astype(np.float64)
+        np.testing.assert_allclose(model.feature_mean, exact.mean(axis=axes), rtol=1e-6)
+        np.testing.assert_allclose(model.feature_std, exact.std(axis=axes), rtol=1e-6)
+
+
+class TestMemory:
+    def test_peak_allocation_is_frames_batch_and_optimizer_state(self):
+        """At the default features (512 mels, P=11), ``train`` allocates at most
+        twice the sum of the frames, one batch and four copies of the parameters
+        (values, grads, Adam m and v): never a copy of all 11-frame context rows."""
+        cfg = FeatureConfig()
+        spec = default_spec("dense_ae", n_mels=cfg.n_mels, context_frames=cfg.context_frames)
+        clips = synthetic_clip_features(16, frames=156, dims=cfg.n_mels)  # 5 s at 16 kHz
+        model = build(spec)
+        tc = TrainConfig(epochs=1, batch_size=64)
+        frame_bytes = sum(c.features.data.nbytes for c in clips)
+        batch_bytes = tc.batch_size * spec.input_dims * 4
+        param_bytes = model.param_count() * 4
+        tracemalloc.start()
+        try:
+            train(model, clips, tc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (frame_bytes + batch_bytes + 4 * param_bytes)

@@ -9,7 +9,8 @@ ModelSpec, TrainConfig and EmbedConfig. Each fact has one home: ``seed`` is
 top-level, and ``n_mels`` and ``context_frames`` live in ``features``; the
 resolver copies them into the model spec and the train and embed configs,
 and rejects them inside any other section. A value must fit its field's
-annotation: an int field takes an integer that is not a bool, a float field
+annotation, by the one rule of ``aad.annotations`` that checkpoint headers
+also follow: an int field takes an integer that is not a bool, a float field
 an integer or a float, an ``X | None`` field also null, a tuple field a
 JSON list. Every command honours ``sample_rate``: the dataset commands
 resample each clip to it (unset: native rates), and synth writes and
@@ -20,19 +21,17 @@ stream reads at it (unset: ``DEFAULT_RATE``). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cache
 from pathlib import Path
-from types import NoneType, UnionType
-from typing import Iterator, get_args, get_origin, get_type_hints
+from typing import Iterator
 
 import numpy as np
 
+from .annotations import conform, field_hints, required_type
 from .audio_io import NORMAL, SynthConfig, scan_dataset, split_index, synth_generate
 from .errors import AadError, ConfigError, ContractError, FormatError
 from .evaluation import EvalConfig, emit_report, evaluate_dataset
@@ -52,10 +51,6 @@ CONFIG_ENV = "AAD_CONFIG"
 DEFAULT_RATE = 16000  # Hz, of synth output and stream input when sample_rate is unset
 
 _STREAM_CHUNK = 8192  # most samples taken from the input per read
-
-# glibc mallopt parameters, and the most its dynamic mmap threshold ever grows to
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_MAX = 32 << 20
 
 
 @dataclass
@@ -78,7 +73,6 @@ class RunConfig:
 
 
 CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-_hints = cache(get_type_hints)  # field name -> resolved annotation, per config class
 # the one home of each fact more than one config type holds
 _HOMES = {"seed": "seed", "n_mels": "features.n_mels",
           "context_frames": "features.context_frames"}
@@ -111,30 +105,6 @@ def _flag_layer(args) -> dict:
     return layer
 
 
-def _required_type(hint):
-    """``X`` for an annotation ``X | None``, else the annotation itself."""
-    if get_origin(hint) is UnionType:
-        return next(a for a in get_args(hint) if a is not NoneType)
-    return hint
-
-
-def _check(name: str, value, hint):
-    """``value`` as the annotation ``hint`` takes it, or a one-line ConfigError."""
-    if value is None and get_origin(hint) is UnionType:
-        return None
-    hint = _required_type(hint)
-    if get_origin(hint) is tuple and type(value) is list:
-        return tuple(_check(name, v, get_args(hint)[0]) for v in value)
-    if hint is float and type(value) is int:
-        return float(value)
-    if hint is Path and type(value) is str:
-        return Path(value)
-    if type(value) is not hint:
-        raise ConfigError(f"config key {name!r}: expected {hint.__name__}, "
-                          f"got {json.dumps(value)}")
-    return value
-
-
 def _merge(layers: list[dict], hints: dict, prefix: str = "") -> dict:
     """Checked values of every layer, later layers winning, sections kept nested."""
     merged: dict = {}
@@ -150,15 +120,18 @@ def _merge(layers: list[dict], hints: dict, prefix: str = "") -> dict:
                     raise ConfigError(f"config section {key!r} must be a JSON object")
                 merged.setdefault(key, []).append(value)
             else:
-                merged[key] = _check(name, value, hints[key])
+                try:
+                    merged[key] = conform(value, hints[key])
+                except TypeError as exc:
+                    raise ConfigError(f"config key {name!r}: {exc}") from None
     return merged
 
 
 def resolve(args) -> RunConfig:
     """One command's settings: defaults < config file < flags, each value type-checked."""
-    hints = _hints(RunConfig)
+    hints = field_hints(RunConfig)
     merged = _merge([_load_config_file(args.config), _flag_layer(args)], hints)
-    section = {f.name: _merge(merged.pop(f.name, []), _hints(hints[f.name]), f"{f.name}.")
+    section = {f.name: _merge(merged.pop(f.name, []), field_hints(hints[f.name]), f"{f.name}.")
                for f in fields(RunConfig) if not f.init}
     run = RunConfig(**merged)
     run.features = FeatureConfig(**section["features"])
@@ -348,8 +321,8 @@ _CHOICES = {"model.kind": MODEL_KINDS, "embed.output_dims": (2, 3)}
 def _flag_type(dest: str):
     """What argparse makes of a config flag: its field's type, paths as text."""
     section, _, key = dest.rpartition(".")
-    hints = _hints(RunConfig)
-    hint = _required_type(_hints(hints[section])[key] if section else hints[key])
+    hints = field_hints(RunConfig)
+    hint = required_type(field_hints(hints[section])[key] if section else hints[key])
     return str if hint is Path else hint
 
 
@@ -407,29 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_memory() -> None:
-    """Fix glibc malloc's thresholds at the ceiling of its own dynamic adjustment.
-
-    Training frees each step's tape and gradients as soon as they are used.
-    With thresholds that follow the largest block a run happens to have
-    freed, malloc hands that memory back to the OS after a step and faults
-    it in again in the next: tens of thousands of page faults per
-    ``aad train`` at small feature sizes. Fixed thresholds keep up to
-    64 MiB of freed memory mapped for reuse. C libraries without
-    ``mallopt`` are left as they are.
-    """
-    try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    except (OSError, TypeError):  # no C library to load by that name
-        return
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
-
-
 def main(argv=None) -> int:
-    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .annotations import conform, field_hints
 from .errors import FormatError, ShapeError, SpecError, SpecMismatchError, TooShortError
 from .features import FeatureMatrix
 from .tensor import Tensor, backward, conv1d_causal, dense, downsample, upsample
@@ -56,14 +57,12 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.hidden = tuple(self.hidden)
-        self.conv_channels = tuple(self.conv_channels)
-        for f in fields(self)[1:]:  # each field but kind has a default of its type
-            value, want = getattr(self, f.name), type(f.default)
-            if not (all(type(v) is int for v in value) if want is tuple
-                    else type(value) is want):
-                expected = "a tuple of int" if want is tuple else want.__name__
-                raise SpecError(f"{f.name} must be {expected}, got {value!r}")
+        for f in fields(self):
+            try:
+                setattr(self, f.name, conform(getattr(self, f.name),
+                                              field_hints(ModelSpec)[f.name]))
+            except TypeError as exc:
+                raise SpecError(f"{f.name}: {exc}") from None
         if self.kind not in MODEL_KINDS:
             raise SpecError(f"unknown model kind {self.kind!r}")
         if self.n_mels < 1 or self.latent_dim < 1:

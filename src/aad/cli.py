@@ -14,14 +14,17 @@ also follow: an int field takes an integer that is not a bool, a float field
 an integer or a float, an ``X | None`` field also null, a tuple field a
 JSON list. Every command honours ``sample_rate``: the dataset commands
 resample each clip to it (unset: native rates), and synth writes and
-stream reads at it (unset: ``DEFAULT_RATE``). Exit codes: 0 success,
-1 pipeline error (one ``aad <cmd>: ...`` line on stderr), 2 usage error.
+stream reads at it (unset: ``DEFAULT_RATE``). Before it dispatches, ``main``
+fixes glibc malloc's thresholds for the process (``heap.keep_freed_memory``).
+Exit codes: 0 success, 1 pipeline error (one ``aad <cmd>: ...`` line on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -36,6 +39,7 @@ from .audio_io import NORMAL, SynthConfig, scan_dataset, split_index, synth_gene
 from .errors import AadError, ConfigError, ContractError, FormatError
 from .evaluation import EvalConfig, emit_report, evaluate_dataset
 from .features import FeatureConfig, dataset_features, save_features, stream_windows
+from .heap import keep_freed_memory
 from .models import MODEL_KINDS, ModelSpec, build, checkpoint_load, default_spec
 from .scoring import (
     anomaly_score,
@@ -51,6 +55,7 @@ CONFIG_ENV = "AAD_CONFIG"
 DEFAULT_RATE = 16000  # Hz, of synth output and stream input when sample_rate is unset
 
 _STREAM_CHUNK = 8192  # most samples taken from the input per read
+INVALID = "invalid"  # the stream decision of a window whose score is not finite
 
 
 @dataclass
@@ -266,6 +271,13 @@ def _raw_chunk_reader(fh, n_samples: list[int]) -> Iterator[np.ndarray]:
                           "expected whole float32 samples")
 
 
+def _stamp_reads(chunks: Iterator[np.ndarray], read_at: list[float]) -> Iterator[np.ndarray]:
+    """The chunks unchanged; ``read_at[0]`` is when the latest one arrived."""
+    for chunk in chunks:
+        read_at[0] = time.perf_counter()
+        yield chunk
+
+
 def cmd_stream(args) -> int:
     run = resolve(args)
     sample_rate = run.sample_rate or DEFAULT_RATE
@@ -275,22 +287,37 @@ def cmd_stream(args) -> int:
     fh = open(args.input, "rb") if args.input else sys.stdin.buffer
     n_samples = [0]
     t0 = time.perf_counter()
-    n_windows = 0
+    # a window's compute runs from its last read, or from the previous
+    # window's decision if that came later, to its own decision
+    read_at, done = [t0], t0
+    compute_ms = []
+    n_invalid = 0
     try:
-        for window in stream_windows(_raw_chunk_reader(fh, n_samples), sample_rate,
-                                     run.features, window_s=args.window_s,
-                                     hop_s=args.hop_s):
+        chunks = _stamp_reads(_raw_chunk_reader(fh, n_samples), read_at)
+        for window in stream_windows(chunks, sample_rate, run.features,
+                                     window_s=args.window_s, hop_s=args.hop_s):
             score = anomaly_score(*model.reconstruct_features(window.features))
-            print(f"{window.end_s:.3f}, {score!r}, {decide(score, tau)}", flush=True)
-            n_windows += 1
+            if math.isfinite(score):
+                decision = decide(score, tau)
+            else:
+                decision, n_invalid = INVALID, n_invalid + 1
+            print(f"{window.end_s:.3f}, {score!r}, {decision}", flush=True)
+            start, done = max(read_at[0], done), time.perf_counter()
+            compute_ms.append(1e3 * (done - start))
     finally:
         if args.input:
             fh.close()
     elapsed = time.perf_counter() - t0
     audio_s = n_samples[0] / sample_rate
     rtf = elapsed / audio_s if audio_s > 0 else float("inf")
-    print(f"real-time factor: {rtf:.4f} ({n_windows} windows, "
-          f"{audio_s:.1f} s audio in {elapsed:.2f} s)", file=sys.stderr)
+    summary = (f"real-time factor: {rtf:.4f} ({len(compute_ms)} windows, {n_invalid} invalid, "
+               f"{audio_s:.1f} s audio in {elapsed:.2f} s)")
+    if compute_ms:
+        # nearest-rank percentiles: np.percentile would page in about 1 MB more
+        ms = sorted(compute_ms)
+        p50, p99 = (ms[math.ceil(q * len(ms)) - 1] for q in (0.50, 0.99))
+        summary += f"; window compute p50 {p50:.2f} ms, p99 {p99:.2f} ms, max {ms[-1]:.2f} ms"
+    print(summary, file=sys.stderr)
     return 0
 
 
@@ -386,6 +413,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    keep_freed_memory()
     try:
         return args.func(args)
     except (AadError, OSError) as exc:

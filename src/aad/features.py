@@ -217,7 +217,8 @@ def stream_windows(chunks: Iterable[np.ndarray], sample_rate: int,
     """Sliding-window log-mel extraction over a stream of sample chunks.
 
     Each emitted window equals log_mel applied to the same offline slice,
-    bit for bit. A final partial window is dropped.
+    bit for bit. A hop longer than the window skips the samples between
+    windows. A final partial window is dropped.
     """
     win = int(round(window_s * sample_rate))
     hop = int(round(hop_s * sample_rate))
@@ -228,8 +229,12 @@ def stream_windows(chunks: Iterable[np.ndarray], sample_rate: int,
     fb = mel_filterbank(config, sample_rate)
     buf = np.empty(0, dtype=np.float32)
     consumed = 0  # samples dropped off the front of buf
+    skip = 0  # samples of a hop longer than buf still to drop from the input
     for chunk in chunks:
-        buf = np.concatenate([buf, np.asarray(chunk, dtype=np.float32)])
+        chunk = np.asarray(chunk, dtype=np.float32)
+        drop = min(skip, len(chunk))
+        skip -= drop
+        buf = np.concatenate([buf, chunk[drop:]])
         while len(buf) >= win:
             start = consumed
             clip = AudioClip(samples=buf[:win], sample_rate=sample_rate)
@@ -238,6 +243,7 @@ def stream_windows(chunks: Iterable[np.ndarray], sample_rate: int,
                 end_s=(start + win) / sample_rate,
                 features=log_mel(clip, config, filterbank=fb),
             )
+            skip = max(hop - len(buf), 0)
             buf = buf[hop:]
             consumed += hop
 

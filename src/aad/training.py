@@ -14,11 +14,9 @@ all held at once.
 from __future__ import annotations
 
 import csv
-import ctypes
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +25,7 @@ import numpy as np
 from .audio_io import NORMAL
 from .errors import ConfigError, ContractError, DivergenceError, SemiSupervisionError
 from .features import ClipFeatures
+from .heap import keep_freed_memory
 from .models import Model, checkpoint_load, checkpoint_save, vae_loss
 from .tensor import Tensor, adam_step, backward, init_adam, zero_grads
 
@@ -34,11 +33,6 @@ __all__ = [
     "TrainConfig", "EpochStats", "TrainLog", "train",
     "checkpoint_save", "checkpoint_load", "write_trainlog_csv",
 ]
-
-# glibc mallopt parameters, and the most its dynamic mmap threshold ever grows to
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_MAX = 32 << 20
-
 
 @dataclass
 class TrainConfig:
@@ -108,39 +102,17 @@ def _eval_loss(model: Model, frames: np.ndarray, starts: np.ndarray, use_vae: bo
     return total / len(starts)
 
 
-@cache
-def _keep_freed_memory() -> None:
-    """Fix glibc malloc's thresholds at the ceiling of its own dynamic adjustment.
-
-    Training frees each step's tape and gradients as soon as they are used.
-    With thresholds that follow the largest block a run happens to have
-    freed, malloc hands that memory back to the OS after a step and faults
-    it in again in the next: tens of thousands of page faults per training
-    run at small feature sizes, about a fifth of its time. Fixed thresholds
-    keep up to 64 MiB of freed memory mapped for reuse. The setting holds
-    for the rest of the process, which is the one ``train`` runs in; C
-    libraries without ``mallopt`` are left as they are.
-    """
-    try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    except (OSError, TypeError):  # no C library to load by that name
-        return
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
-
-
 def train(model: Model, clips: Sequence[ClipFeatures], cfg: TrainConfig,
           checkpoint_dir: str | Path | None = None) -> tuple[Model, TrainLog]:
     """Train a model on normal-only clip features.
 
     Returns the trained model and a per-epoch log. When ``checkpoint_dir``
     is given, ``last.aadm`` is written at the end and ``best.aadm`` at the
-    best validation loss. Under glibc, the first call fixes malloc's trim
-    and mmap thresholds for the process (``_keep_freed_memory``).
+    best validation loss. Under glibc, malloc's trim and mmap thresholds are
+    fixed for the process (``heap.keep_freed_memory``), as every ``aad``
+    command already does, so that library callers reuse freed memory too.
     """
-    _keep_freed_memory()
+    keep_freed_memory()
     if not clips:
         raise ContractError("empty training set")
     bad = [c.path for c in clips if c.label != NORMAL]

@@ -1,11 +1,14 @@
 import io
 import json
 import os
+import platform
+import re
+import resource
 import select
 import shutil
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -145,19 +148,67 @@ class TestStream:
             assert decision == "normal"  # tau 1e9 never trips
 
 
-    def test_nan_sample_reads_anomaly(self, workspace, tmp_path):
+    def test_nan_sample_reads_invalid(self, workspace, tmp_path):
         samples = np.random.default_rng(4).normal(0, 0.1, 6 * 16000).astype("<f4")
         samples[40000] = np.nan  # 2.5 s: inside the windows ending at 3 s and 4 s
         raw = tmp_path / "audio.f32"
         raw.write_bytes(samples.tobytes())
-        buf = io.StringIO()
-        with redirect_stdout(buf):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
             rc = main([*map(str, stream_args(workspace)), "--input", str(raw)])
         assert rc == 0
-        rows = [line.split(", ") for line in buf.getvalue().splitlines()]
+        rows = [line.split(", ") for line in out.getvalue().splitlines()]
         assert [r[0] for r in rows] == ["2.000", "3.000", "4.000", "5.000", "6.000"]
-        assert [r[2] for r in rows] == ["normal", "anomaly", "anomaly", "normal", "normal"]
-        assert rows[1][1] == "nan"
+        assert [r[2] for r in rows] == ["normal", "invalid", "invalid", "normal", "normal"]
+        assert rows[1][1] == rows[2][1] == "nan"
+        assert "(5 windows, 2 invalid, 6.0 s audio in " in err.getvalue()
+
+    def test_summary_reports_window_compute_percentiles(self, workspace, tmp_path):
+        raw = tmp_path / "audio.f32"
+        raw.write_bytes(np.random.default_rng(6).normal(0, 0.1, 5 * 16000)
+                        .astype("<f4").tobytes())
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main([*map(str, stream_args(workspace)), "--input", str(raw)])
+        assert rc == 0
+        (summary,) = err.getvalue().splitlines()
+        match = re.fullmatch(
+            r"real-time factor: [0-9.]+ \(4 windows, 0 invalid, 5\.0 s audio in [0-9.]+ s\); "
+            r"window compute p50 ([0-9.]+) ms, p99 ([0-9.]+) ms, max ([0-9.]+) ms", summary)
+        assert match, summary
+        p50, p99, most = map(float, match.groups())
+        assert 0 < p50 <= p99 <= most < 10_000
+
+    def test_no_windows_reports_no_compute_percentiles(self, workspace, tmp_path):
+        raw = tmp_path / "audio.f32"
+        raw.write_bytes(np.zeros(16000, "<f4").tobytes())  # 1 s: shorter than a window
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main([*map(str, stream_args(workspace)), "--input", str(raw)])
+        assert rc == 0 and out.getvalue() == ""
+        (summary,) = err.getvalue().splitlines()
+        assert "(0 windows, 0 invalid, 1.0 s audio in " in summary
+        assert summary.endswith(" s)")
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="malloc thresholds are a glibc setting")
+    def test_extra_windows_fault_in_no_fresh_memory(self, workspace, tmp_path):
+        # under glibc's dynamic thresholds every window hands its STFT
+        # temporaries back to the OS and faults them in again: ~300 faults each
+        faults, windows = [], []
+        for seconds in (8, 32):
+            raw = tmp_path / f"audio{seconds}.f32"
+            raw.write_bytes(np.random.default_rng(5).normal(0, 0.1, seconds * 16000)
+                            .astype("<f4").tobytes())
+            argv, env = cli_command(*stream_args(workspace), "--input", raw)
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+            faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+            assert done.returncode == 0, done.stderr
+            windows.append(len(done.stdout.splitlines()))
+        assert windows == [7, 31]
+        per_window = (faults[1] - faults[0]) / (windows[1] - windows[0])
+        assert per_window <= 10, f"{per_window:.0f} minor faults per extra window"
 
     def test_stray_trailing_bytes_end_with_one_line_error(self, workspace):
         samples = np.zeros(3 * 16000, dtype="<f4").tobytes()

@@ -225,11 +225,13 @@ class TestStreamWindows:
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(0, 20000), sizes=st.lists(st.integers(1, 9000), min_size=1,
-                                                   max_size=8))
-    @example(n=9000, sizes=[1])
-    @example(n=20000, sizes=[9000])
-    def test_any_chunking_matches_offline_bit_for_bit(self, n, sizes):
-        sr, win, hop = 16000, 8000, 3000
+                                                   max_size=8),
+           hop=st.integers(1000, 12000))
+    @example(n=9000, sizes=[1], hop=3000)
+    @example(n=20000, sizes=[9000], hop=3000)
+    @example(n=20000, sizes=[9000], hop=11000)  # a hop longer than the window
+    def test_any_chunking_matches_offline_bit_for_bit(self, n, sizes, hop):
+        sr, win = 16000, 8000
         cfg = FeatureConfig(n_fft=512, hop=256, n_mels=16, context_frames=3)
         x = np.random.default_rng(n).normal(0, 0.2, n).astype(np.float32)
 

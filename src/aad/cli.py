@@ -38,7 +38,8 @@ from .annotations import conform, field_hints, required_type
 from .audio_io import NORMAL, SynthConfig, scan_dataset, split_index, synth_generate
 from .errors import AadError, ConfigError, ContractError, FormatError
 from .evaluation import EvalConfig, emit_report, evaluate_dataset
-from .features import FeatureConfig, dataset_features, save_features, stream_windows
+from .features import (FeatureConfig, dataset_features, frame_count, save_features,
+                       stream_windows)
 from .heap import keep_freed_memory
 from .models import MODEL_KINDS, ModelSpec, build, checkpoint_load, default_spec
 from .scoring import (
@@ -193,8 +194,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _require_finite(flag: str, value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{flag} must be a finite number, got {value!r}")
+
+
 def cmd_score(args) -> int:
     run = resolve(args)
+    _require_finite("--tau", args.tau)
     model = checkpoint_load(args.checkpoint)
     index = scan_dataset(run.dataset_root)
     if args.partition != "all":
@@ -215,11 +222,11 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     run = resolve(args)
+    cfg = EvalConfig(features=run.features, p=args.p, pauc_ceil=args.pauc_ceil,
+                     sample_rate=run.sample_rate)
     model = checkpoint_load(args.checkpoint)
     index = scan_dataset(run.dataset_root)
     _, test_index = split_index(index, run.test_normal_fraction, run.seed)
-    cfg = EvalConfig(features=run.features, p=args.p, pauc_ceil=args.pauc_ceil,
-                     sample_rate=run.sample_rate)
     report = evaluate_dataset(model, test_index, cfg)
     suffix = {"json": ".json", "csv": ".csv", "markdown": ".md"}[args.format]
     path = run.output_dir / f"report{suffix}"
@@ -230,6 +237,8 @@ def cmd_eval(args) -> int:
 
 def cmd_embed(args) -> int:
     run = resolve(args)
+    if args.max_clips is not None and args.max_clips < 1:
+        raise ConfigError(f"--max-clips must be >= 1, got {args.max_clips}")
     index = scan_dataset(run.dataset_root)
     clips = dataset_features(index, run.features, target_rate=run.sample_rate)
     if args.max_clips is not None and len(clips) > args.max_clips:
@@ -281,7 +290,14 @@ def _stamp_reads(chunks: Iterator[np.ndarray], read_at: list[float]) -> Iterator
 def cmd_stream(args) -> int:
     run = resolve(args)
     sample_rate = run.sample_rate or DEFAULT_RATE
+    for flag, value in (("--tau", args.tau), ("--window-s", args.window_s),
+                        ("--hop-s", args.hop_s)):
+        _require_finite(flag, value)
     model = checkpoint_load(args.checkpoint)
+    frames = frame_count(int(round(args.window_s * sample_rate)), run.features)
+    if frames < model.input_frames:
+        raise ConfigError(f"a {args.window_s} s window gives {frames} frames at hop "
+                          f"{run.features.hop}; the model takes {model.input_frames}")
     tau = args.tau
 
     fh = open(args.input, "rb") if args.input else sys.stdin.buffer

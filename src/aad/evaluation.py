@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .audio_io import ANOMALY, NORMAL, DatasetIndex
-from .errors import ContractError, DegenerateEvalError
+from .errors import ConfigError, ContractError, DegenerateEvalError
 from .features import FeatureConfig, dataset_features
 from .models import Model
 from .scoring import ScoreRecord, score_dataset
@@ -99,6 +99,10 @@ class EvalConfig:
     p: float = 0.05
     pauc_ceil: bool = False
     sample_rate: int | None = None  # resample target; None = native rates
+
+    def __post_init__(self):
+        if not 0.0 < self.p <= 1.0:
+            raise ConfigError(f"p must be in (0, 1], got {self.p!r}")
 
 
 def evaluate_dataset(model: Model, index: DatasetIndex,

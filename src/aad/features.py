@@ -151,6 +151,11 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def frame_count(n_samples: int, config: FeatureConfig) -> int:
+    """Frames valid-mode framing makes of n samples: 1 + floor((n - n_fft) / hop)."""
+    return max(1 + (n_samples - config.n_fft) // config.hop, 0)
+
+
 def stft_power(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     """One-sided power spectrogram, shape (frames, n_fft//2 + 1).
 
@@ -163,7 +168,7 @@ def stft_power(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     n_fft, hop = config.n_fft, config.hop
     if len(x) < n_fft:
         raise TooShortError(f"clip has {len(x)} samples, need >= {n_fft}")
-    n_frames = 1 + (len(x) - n_fft) // hop
+    n_frames = frame_count(len(x), config)
     frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop][:n_frames]
     spec = np.fft.rfft(frames * _hann(n_fft), axis=1)
     return np.abs(spec) ** 2

@@ -253,7 +253,7 @@ class Model:
     # -- feature plumbing --
 
     @property
-    def _input_frames(self) -> int:
+    def input_frames(self) -> int:
         """Consecutive frames one model input covers."""
         if self.spec.kind == "dense_ae":
             return self.spec.context_frames
@@ -268,7 +268,7 @@ class Model:
         if fm.dims != self.spec.n_mels:
             raise ShapeError(f"features have {fm.dims} mel bands, the model takes "
                              f"{self.spec.n_mels}")
-        span = self._input_frames
+        span = self.input_frames
         if fm.frames < span:
             name = "context_frames" if self.spec.kind == "dense_ae" else "window_frames"
             raise TooShortError(f"{fm.frames} frames < {name} {span}")
@@ -286,7 +286,7 @@ class Model:
         view with input starts copies out only those inputs.
         """
         frames = np.ascontiguousarray(frames, dtype=_DTYPE)
-        span, mels = self._input_frames, frames.shape[1]
+        span, mels = self.input_frames, frames.shape[1]
         if self.spec.kind == "dense_ae":  # P consecutive rows are one run of memory
             return sliding_window_view(frames.reshape(-1), span * mels)[::mels]
         return sliding_window_view(frames, span, axis=0)
@@ -300,7 +300,7 @@ class Model:
         mel band, and anywhere in the window for windows, which share one
         mean per mel band.
         """
-        n, span = len(frames), self._input_frames
+        n, span = len(frames), self.input_frames
         groups = ([(i, i + 1) for i in range(span)] if self.spec.kind == "dense_ae"
                   else [(0, span)])
         # weights[g, f]: inputs holding frame f at a position of group g
@@ -369,11 +369,9 @@ class DenseAutoencoder(Model):
         h = x
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            h = dense(h, w, b)
+            h = dense(h, w, b, relu=i != last and i != self._bottleneck_index)
             if i == self._bottleneck_index and stop_at_bottleneck:
                 return h
-            if i != last and i != self._bottleneck_index:
-                h = h.relu()
         return h
 
     def forward(self, x, rng=None):
@@ -421,19 +419,17 @@ class ConvAutoencoder(Model):
     def _encode_flat(self, x: Tensor) -> Tensor:
         h = x
         for w, b in self.enc:
-            h = conv1d_causal(h, w, bias=b, causal=False).relu()
+            h = conv1d_causal(h, w, bias=b, causal=False, relu=True)
             h = downsample(h, 2)
         return h.reshape((h.shape[0], -1))
 
     def _decode(self, z: Tensor) -> Tensor:
-        h = dense(z, self.w_up, self.b_up).relu()
+        h = dense(z, self.w_up, self.b_up, relu=True)
         h = h.reshape((z.shape[0], self.spec.conv_channels[-1], self.t_inner))
         last = len(self.dec) - 1
         for i, (w, b) in enumerate(self.dec):
             h = upsample(h, 2)
-            h = conv1d_causal(h, w, bias=b, causal=False)
-            if i != last:
-                h = h.relu()
+            h = conv1d_causal(h, w, bias=b, causal=False, relu=i != last)
         return h
 
     def forward(self, x, rng=None):
@@ -485,15 +481,15 @@ class TcnVae(Model):
     def _encode_dist(self, x: Tensor) -> LatentDistribution:
         h = x
         for w, b, d in self.blocks:
-            h = conv1d_causal(h, w, bias=b, dilation=d).relu()
+            h = conv1d_causal(h, w, bias=b, dilation=d, relu=True)
         return LatentDistribution(
             mu=conv1d_causal(h, self.w_mu, bias=self.b_mu),
             log_var=conv1d_causal(h, self.w_lv, bias=self.b_lv),
         )
 
     def _decode(self, z: Tensor) -> Tensor:
-        h = conv1d_causal(z, self.w_d0, bias=self.b_d0).relu()
-        h = conv1d_causal(h, self.w_d1, bias=self.b_d1, causal=False).relu()
+        h = conv1d_causal(z, self.w_d0, bias=self.b_d0, relu=True)
+        h = conv1d_causal(h, self.w_d1, bias=self.b_d1, causal=False, relu=True)
         return conv1d_causal(h, self.w_d2, bias=self.b_d2)
 
     def forward(self, x, rng=None):

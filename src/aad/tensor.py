@@ -155,25 +155,48 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     return np.asarray(g.sum()).reshape(shape)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine layer y = x @ w + b for x (batch, in), w (in, out), b (out,)."""
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """Affine layer y = x @ w + b for x (batch, in), w (in, out), b (out,).
+
+    With ``relu`` the output is max(y, 0), applied in place, and the
+    backward mask is read from that output (it is positive exactly where y
+    is), so the tape keeps one array where ``dense(...).relu()`` keeps two.
+    Values and gradients equal that composition's.
+    """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"dense: shapes {x.shape} and {w.shape} do not agree")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"dense: bias shape {b.shape} != ({w.shape[1]},)")
-    out = Tensor(x.data @ w.data + b.data,
-                 requires_grad=x.requires_grad or w.requires_grad or b.requires_grad,
+    yd = x.data @ w.data + b.data
+    if relu:
+        np.maximum(yd, 0, out=yd)
+    out = Tensor(yd, requires_grad=x.requires_grad or w.requires_grad or b.requires_grad,
                  op="dense", _parents=(x, w, b))
     if out.requires_grad:
         def _bw(g):
+            if relu:
+                g = g * (yd > 0)
             if x.requires_grad:
-                x.accumulate_grad(g @ w.data.T)
+                _pass_grad(x, g @ w.data.T)
             if w.requires_grad:
                 w.accumulate_grad(x.data.T @ g)
             if b.requires_grad:
                 b.accumulate_grad(g.sum(axis=0))
         out._backward = _bw
     return out
+
+
+def _pass_grad(node: Tensor, g: np.ndarray) -> None:
+    """Add a fresh gradient array into an interior node's, or hand it over.
+
+    An interior node that holds no gradient yet takes ``g`` itself rather
+    than a zero buffer plus a copy. Leaves always accumulate into their own
+    buffer, which the caller may keep across calls.
+    """
+    if node.grad is None and node._parents:
+        node.grad = g
+    else:
+        node.accumulate_grad(g)
 
 
 def _tap_slices(s: int, t: int) -> tuple[slice, slice]:
@@ -187,19 +210,26 @@ def _channels_major(a: np.ndarray) -> np.ndarray:
 
 
 def conv1d_causal(x: Tensor, w: Tensor, dilation: int = 1,
-                  bias: Tensor | None = None, causal: bool = True) -> Tensor:
+                  bias: Tensor | None = None, causal: bool = True,
+                  relu: bool = False) -> Tensor:
     """Dilated 1-D convolution, length-preserving.
 
     x is (batch, in_ch, T), w is (out_ch, in_ch, k). In causal mode the
     input is left zero-padded by (k-1)*dilation, so
     y(t) = sum_j w(j) * x(t - j*dilation) and no output reads the future.
     With causal=False the taps are centered (odd k), for decoders that
-    reconstruct complete windows.
+    reconstruct complete windows. With ``relu`` the output is max(y, 0),
+    applied in place after the bias, and the backward mask is read from
+    that output, so the tape keeps one array per layer where
+    ``conv1d_causal(...).relu()`` keeps two; values and gradients equal
+    that composition's.
 
     Each tap is one GEMM over the (in_ch, batch*T) view of the input whose
     product is added at the tap's time shift; a tap shifted by T or more
     reads only padding and is skipped. The backward pass recomputes that
-    view rather than keeping it alive.
+    view rather than keeping it alive. It takes the bias and weight
+    gradients first, drops each channel-major copy as soon as its GEMMs
+    are done, and hands the input gradient to a parent that has none.
     """
     if dilation < 1:
         raise ContractError("dilation must be >= 1")
@@ -218,30 +248,41 @@ def conv1d_causal(x: Tensor, w: Tensor, dilation: int = 1,
     yc = np.zeros((out_ch, batch, t), dtype=xd.dtype)
     for j, (o, i) in taps:
         yc[:, :, o] += (wd[:, :, j] @ xc).reshape(out_ch, batch, t)[:, :, i]
+    del xc
     if bias is not None:
         yc += bias.data[:, None, None]
+    if relu:
+        np.maximum(yc, 0, out=yc)
+    yd = _channels_major(yc)
+    del yc
 
     parents = (x, w) if bias is None else (x, w, bias)
     req = any(p.requires_grad for p in parents)
-    out = Tensor(_channels_major(yc), requires_grad=req, op="conv1d", _parents=parents)
+    out = Tensor(yd, requires_grad=req, op="conv1d", _parents=parents)
     if req:
         def _bw(g):
+            if relu:
+                g = g * (yd > 0)
+            if bias is not None and bias.requires_grad:
+                bias.accumulate_grad(g.sum(axis=(0, 2)))
             gc = _channels_major(g)
-            if x.requires_grad:
-                gflat = gc.reshape(out_ch, batch * t)
-                gxc = np.zeros((in_ch, batch, t), dtype=xd.dtype)
-                for j, (o, i) in taps:
-                    gxc[:, :, i] += (wd[:, :, j].T @ gflat).reshape(in_ch, batch, t)[:, :, o]
-                x.accumulate_grad(_channels_major(gxc))
+            del g
             if w.requires_grad:
                 x3 = _channels_major(xd)
                 gw = np.zeros_like(wd)
                 for j, (o, i) in taps:
                     gw[:, :, j] = (gc[:, :, o].reshape(out_ch, -1)
                                    @ x3[:, :, i].reshape(in_ch, -1).T)
+                del x3
                 w.accumulate_grad(gw)
-            if bias is not None and bias.requires_grad:
-                bias.accumulate_grad(g.sum(axis=(0, 2)))
+            if x.requires_grad:
+                gflat = gc.reshape(out_ch, batch * t)
+                del gc
+                gxc = np.zeros((in_ch, batch, t), dtype=xd.dtype)
+                for j, (o, i) in taps:
+                    gxc[:, :, i] += (wd[:, :, j].T @ gflat).reshape(in_ch, batch, t)[:, :, o]
+                del gflat
+                _pass_grad(x, _channels_major(gxc))
         out._backward = _bw
     return out
 
@@ -275,10 +316,13 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Leaf gradients accumulate across calls until the caller zeroes them.
-    An interior node's gradient is scratch: it is dropped as soon as the
-    node's own backward step has passed it on to its parents, so the sweep
-    holds only the gradients of nodes that have received one and not yet
-    passed it on, never one per node of the tape. After the call, only
+    An interior node's gradient is scratch: the sweep clears ``node.grad``
+    and hands the array to the node's backward step, which holds the only
+    reference and may drop it as soon as it has passed the gradient on to
+    the parents. A step may in turn hand a fresh array to a parent that
+    has no gradient yet instead of copying it into a zero buffer. So the
+    sweep holds only the gradients of nodes that have received one and not
+    yet passed it on, never one per node of the tape. After the call, only
     leaves hold a ``grad``.
     """
     if loss.data.size != 1:
@@ -304,9 +348,15 @@ def backward(loss: Tensor) -> None:
     loss.accumulate_grad(np.ones_like(loss.data))
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-        if node._parents:
+            node._backward(_take_grad(node))
+        elif node._parents:
             node.grad = None
+
+
+def _take_grad(node: Tensor) -> np.ndarray:
+    """Clear ``node.grad`` and return it, so the callee holds the only reference."""
+    g, node.grad = node.grad, None
+    return g
 
 
 def zero_grads(params) -> None:

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr!r}")
         if not 0.0 <= self.validation_split < 1.0:
             raise ConfigError("validation_split must be in [0, 1)")
         if self.loss not in (None, "mse", "vae"):

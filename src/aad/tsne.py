@@ -76,6 +76,17 @@ def _squared_distances_exact(x: np.ndarray) -> np.ndarray:
     return d
 
 
+def _duplicate_rows(x: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows equal to an earlier row.
+
+    A stable lexicographic sort puts equal rows next to each other in their
+    original order, so every row of a run but its first is a duplicate.
+    """
+    order = np.lexsort(x.T[::-1])
+    same = (x[order[1:]] == x[order[:-1]]).all(axis=1)
+    return np.sort(order[1:][same])
+
+
 def _row_entropy(dist_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
     """Shannon entropy (nats) and conditional distribution at bandwidth beta."""
     p = np.exp(-dist_row * beta)
@@ -104,8 +115,7 @@ def conditional_affinities(x: np.ndarray, perplexity: float,
         raise ConfigError("perplexity must be > 1")
 
     # deterministic jitter for exact duplicates
-    _, first_idx = np.unique(x, axis=0, return_index=True)
-    dupes = np.setdiff1d(np.arange(n), first_idx)
+    dupes = _duplicate_rows(x)
     if dupes.size:
         jig = np.random.default_rng(_JITTER_SEED)
         x = x.copy()
@@ -187,7 +197,7 @@ def tsne_embed(x: np.ndarray, cfg: EmbedConfig,
     p = pairwise_affinities(x, cfg.perplexity)
     # a fully degenerate cloud has uniform affinities and nothing to
     # exaggerate; amplifying them only destabilizes the descent
-    degenerate = np.unique(x, axis=0).shape[0] == 1
+    degenerate = bool((x == x[0]).all())
     exaggeration = 1.0 if degenerate else cfg.early_exaggeration
     y = np.array(init, dtype=np.float64) if init is not None \
         else _default_init(n, cfg.output_dims, cfg.seed)

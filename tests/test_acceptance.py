@@ -123,6 +123,30 @@ def test_criterion_1_gradient_oracle():
         check(lambda ps, n=noise: (lambda z: (z * z).sum())(
             reparameterize(LatentDistribution(ps[0], ps[1]), n)), [mu, lv])
 
+    def off_the_kink(draw, pre):
+        # redraw until no pre-activation is within 0.05 of the relu kink
+        while True:
+            arrays = draw()
+            if np.abs(pre(*arrays)).min() > 0.05:
+                return arrays
+
+    for _ in range(20):  # dense with fused relu
+        arrays = off_the_kink(
+            lambda: [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)],
+            lambda x, w, b: x @ w + b)
+        check(lambda ps: (lambda y: (y * y).sum())(dense(*ps, relu=True)), arrays)
+
+    for dilation, causal in ((1, True), (2, True), (4, True), (2, False)):  # conv + relu
+        for _ in range(20):
+            arrays = off_the_kink(
+                lambda: [rng.normal(size=(2, 3, 9)), rng.normal(size=(2, 3, 3)),
+                         rng.normal(size=2)],
+                lambda x, w, b, d=dilation, c=causal: conv1d_causal(
+                    Tensor(x), Tensor(w), dilation=d, bias=Tensor(b), causal=c).data)
+            check(lambda ps, d=dilation, c=causal: (lambda y: (y * y).sum())(
+                conv1d_causal(ps[0], ps[1], dilation=d, bias=ps[2], causal=c, relu=True)),
+                arrays)
+
     elapsed = time.perf_counter() - t0
     report_line(1, "gradient oracle", elapsed < 60.0,
                 f"{checked} instances, all within 1e-5 rel, {elapsed:.1f}s")

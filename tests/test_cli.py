@@ -464,3 +464,89 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out"), *SMALL_FLAGS])
         assert rc == 1
         capsys.readouterr()
+
+
+def one_line_error(capsys, cmd):
+    """The single stderr line of a failed command."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"aad {cmd}: "), err
+    return err[0]
+
+
+class TestRejectedValues:
+    """Values that used to end in a silent wrong answer or a traceback."""
+
+    @pytest.fixture(scope="class")
+    def tcn_checkpoint(self, workspace, tmp_path_factory):
+        run = tmp_path_factory.mktemp("tcn")
+        assert main(["train", "--root", str(workspace / "data"), "--out", str(run),
+                     "--model", "tcn_cvae", "--window-frames", "8", "--tcn-layers", "2",
+                     "--tcn-channels", "4", "--epochs", "0", "--seed", "7",
+                     *SMALL_FLAGS]) == 0
+        return run / "last.aadm"
+
+    def stream(self, checkpoint, tmp_path, *flags):
+        raw = tmp_path / "audio.f32"
+        raw.write_bytes(np.zeros(16000, dtype="<f4").tobytes())
+        return main(["stream", "--input", str(raw), "--model", str(checkpoint),
+                     "--sample-rate", "16000", *SMALL_FLAGS, *flags])
+
+    def test_stream_window_shorter_than_the_model_input(self, tcn_checkpoint, tmp_path,
+                                                        capsys):
+        # 8 frames of hop 512 after a 1024-point frame: 4608 samples, 0.288 s
+        assert self.stream(tcn_checkpoint, tmp_path, "--tau", "1e9",
+                           "--window-s", "0.288", "--hop-s", "0.1") == 0
+        capsys.readouterr()
+        rc = self.stream(tcn_checkpoint, tmp_path, "--tau", "1e9",
+                         "--window-s", "0.287", "--hop-s", "0.1")
+        assert rc == 1
+        assert "gives 7 frames" in one_line_error(capsys, "stream")
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_stream_non_finite_tau(self, workspace, tmp_path, capsys, tau):
+        rc = self.stream(workspace / "run" / "last.aadm", tmp_path, f"--tau={tau}",
+                         "--window-s", "0.5", "--hop-s", "0.25")
+        assert rc == 1
+        assert "--tau" in one_line_error(capsys, "stream")
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_score_non_finite_tau(self, workspace, tmp_path, capsys, tau):
+        rc = main(["score", "--root", str(workspace / "data"), "--out", str(tmp_path),
+                   "--model", str(workspace / "run" / "last.aadm"), f"--tau={tau}",
+                   *SMALL_FLAGS])
+        assert rc == 1
+        assert "--tau" in one_line_error(capsys, "score")
+        assert not (tmp_path / "scores.csv").exists()
+
+    @pytest.mark.parametrize("lr", ["-1", "0"])
+    def test_train_lr_not_positive(self, workspace, tmp_path, capsys, lr):
+        rc = main(["train", "--root", str(workspace / "data"), "--out", str(tmp_path),
+                   "--epochs", "1", "--lr", lr, *SMALL_FLAGS])
+        assert rc == 1
+        assert "lr" in one_line_error(capsys, "train")
+
+    @pytest.mark.parametrize("p", ["0", "-0.1", "1.5", "nan"])
+    def test_eval_p_outside_unit_interval(self, workspace, tmp_path, capsys, p):
+        rc = main(["eval", "--root", str(workspace / "data"), "--out", str(tmp_path),
+                   "--model", str(workspace / "run" / "last.aadm"), "--p", p,
+                   *SMALL_FLAGS])
+        assert rc == 1
+        assert "p must be in (0, 1]" in one_line_error(capsys, "eval")
+
+    def test_embed_max_clips_zero(self, workspace, tmp_path, capsys):
+        rc = main(["embed", "--root", str(workspace / "data"), "--out", str(tmp_path),
+                   "--max-clips", "0", *SMALL_FLAGS])
+        assert rc == 1
+        assert "--max-clips" in one_line_error(capsys, "embed")
+
+    def test_embed_leaves_numpy_ma_unloaded(self, workspace, tmp_path):
+        # duplicate rows are found without np.unique(axis=0), which imports numpy.ma
+        args = ["embed", "--root", workspace / "data", "--out", tmp_path,
+                "--perplexity", "5", "--iterations", "10", *SMALL_FLAGS]
+        _, env = cli_command()
+        code = ("import sys, aad.cli; rc = aad.cli.main(sys.argv[1:]); "
+                "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(rc)")
+        done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.strip().splitlines()[-1] == "False"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aad.audio_io import ANOMALY, NORMAL, DatasetIndex, SynthConfig, synth_generate
-from aad.errors import ContractError, DegenerateEvalError
+from aad.errors import ConfigError, ContractError, DegenerateEvalError
 from aad.evaluation import (
     EvalConfig,
     EvalReport,
@@ -166,6 +166,11 @@ class TestEvaluateDataset:
     def _cfg(self):
         features = FeatureConfig(n_fft=1024, hop=512, n_mels=16, context_frames=1)
         return EvalConfig(features=features, p=0.25)
+
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.01, math.nan])
+    def test_p_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ConfigError, match="p must be in"):
+            EvalConfig(features=FeatureConfig(), p=p)
 
     def test_report_structure_and_averages(self, synth_index):
         model = build(default_spec("dense_ae", n_mels=16, context_frames=1,

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aad.errors import ContractError, ShapeError
 from aad.tensor import (
@@ -179,6 +182,64 @@ class TestConv1dCausal:
         anchor = 0 if causal else 1
         dead = [j for j in range(3) if j != anchor]
         np.testing.assert_array_equal(w.grad[:, :, dead], 0.0)
+
+
+# float32 values that include exact zeros and small integers, so that
+# pre-activations land exactly on zero and on both sides of it
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                    st.floats(-4, 4, width=32))
+
+
+def _f32(shape):
+    return arrays(np.float32, shape, elements=_VALUES)
+
+
+def _fused_and_unfused(op, arrays_in, probe):
+    """(value, leaf grads) of ``op(*leaves, relu=True)`` and of ``op(*leaves).relu()``.
+
+    The input goes through one interior node, so its gradient takes the
+    hand-over path into a node that has none yet.
+    """
+    results = []
+    for fused in (True, False):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays_in]
+        inputs = [leaves[0] * 1.0, *leaves[1:]]
+        y = op(*inputs, relu=True) if fused else op(*inputs).relu()
+        backward((y * Tensor(probe)).sum())
+        results.append([y.data, *(leaf.grad for leaf in leaves)])
+    return results
+
+
+class TestFusedRelu:
+    """The fused ops equal their ``.relu()`` composition bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 40), st.sampled_from([1, 3]), st.integers(1, 32), st.booleans())
+    def test_conv1d_causal(self, data, batch, cin, cout, t, k, dilation, causal):
+        xd = data.draw(_f32((batch, cin, t)))
+        wd = data.draw(_f32((cout, cin, k)))
+        bd = data.draw(_f32((cout,)))
+        probe = data.draw(_f32((batch, cout, t)))
+
+        def op(x, w, b, **kw):
+            return conv1d_causal(x, w, dilation=dilation, bias=b, causal=causal, **kw)
+        fused, unfused = _fused_and_unfused(op, [xd, wd, bd], probe)
+        for f, u in zip(fused, unfused):
+            assert f.dtype == u.dtype == np.float32
+            assert f.tobytes() == u.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 5), st.integers(1, 6), st.integers(1, 6))
+    def test_dense(self, data, batch, n_in, n_out):
+        xd = data.draw(_f32((batch, n_in)))
+        wd = data.draw(_f32((n_in, n_out)))
+        bd = data.draw(_f32((n_out,)))
+        probe = data.draw(_f32((batch, n_out)))
+        fused, unfused = _fused_and_unfused(dense, [xd, wd, bd], probe)
+        for f, u in zip(fused, unfused):
+            assert f.dtype == u.dtype == np.float32
+            assert f.tobytes() == u.tobytes()
 
 
 class TestActivations:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aad.audio_io import ANOMALY, NORMAL
 from aad.errors import ConfigError, ContractError
@@ -160,3 +163,17 @@ def test_last_kl_entry_is_of_the_returned_points():
     p = pairwise_affinities(x, cfg.perplexity)
     assert len(emb.kl_history) == cfg.iterations
     assert emb.kl_history[-1] == _kl(p, _student_t_q(emb.points)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    arrays(np.float64, st.tuples(st.integers(1, 5), st.just(d)),
+           elements=st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0])),
+    st.lists(st.integers(0, 4), min_size=1, max_size=30))))
+def test_duplicate_rows_are_those_np_unique_drops(case):
+    from aad.tsne import _duplicate_rows
+    rows, picks = case
+    x = rows[[i % len(rows) for i in picks]]
+    _, first = np.unique(x, axis=0, return_index=True)
+    np.testing.assert_array_equal(_duplicate_rows(x),
+                                  np.setdiff1d(np.arange(len(x)), first))

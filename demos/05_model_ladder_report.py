@@ -27,7 +27,7 @@ with tempfile.TemporaryDirectory() as tmp:
         n_normal=60, n_anomaly=20, duration_s=2.0, sample_rate=16000, seed=9))
     train_index, test_index = split_index(index, test_normal_fraction=0.2, seed=9)
     features = FeatureConfig(n_fft=1024, hop=512, n_mels=64, context_frames=5)
-    train_clips = dataset_features(train_index, features)
+    train_clips = list(dataset_features(train_index, features))
 
     reports = []
     for kind in ("dense_ae", "cae", "cvae", "tcn_cvae"):

@@ -32,8 +32,8 @@ with tempfile.TemporaryDirectory() as tmp:
         n_normal=80, n_anomaly=30, duration_s=2.0, sample_rate=16000, seed=4))
     train_index, test_index = split_index(index, test_normal_fraction=0.3, seed=4)
     features = FeatureConfig(n_fft=1024, hop=512, n_mels=64, context_frames=5)
-    train_clips = dataset_features(train_index, features)
-    test_clips = dataset_features(test_index, features)
+    train_clips = list(dataset_features(train_index, features))
+    test_clips = list(dataset_features(test_index, features))
 
     model = build(default_spec("tcn_cvae", n_mels=64, seed=4))
     model, _ = train(model, train_clips,

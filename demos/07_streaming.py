@@ -34,7 +34,7 @@ features = FeatureConfig(n_fft=1024, hop=512, n_mels=64, context_frames=5)
 with tempfile.TemporaryDirectory() as tmp:
     index = synth_generate(Path(tmp), SynthConfig(
         n_normal=40, n_anomaly=0, duration_s=2.0, sample_rate=sr, seed=2))
-    clips = dataset_features(index, features)
+    clips = list(dataset_features(index, features))
     model = build(default_spec("tcn_cvae", n_mels=64, seed=2))
     model, _ = train(model, clips, TrainConfig(epochs=8, batch_size=64, seed=2))
     tau = select_threshold([r.score for r in score_dataset(model, clips)],

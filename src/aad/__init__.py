@@ -14,6 +14,7 @@ from .audio_io import (
     DatasetIndex,
     SynthConfig,
     read_wav,
+    read_wav_header,
     resample,
     scan_dataset,
     split_index,
@@ -26,6 +27,7 @@ from .features import (
     FeatureConfig,
     FeatureMatrix,
     dataset_features,
+    dataset_frame_counts,
     hz_to_mel,
     load_features,
     log_mel,

@@ -119,6 +119,54 @@ def _read_fmt(body: bytes, path: Path) -> tuple[int, int, np.dtype]:
     return channels, rate, dtype
 
 
+@dataclass(frozen=True)
+class WavHeader:
+    """What a WAV file's header says of its audio: mono sample count and rate."""
+
+    n_samples: int
+    sample_rate: int
+
+
+def _seek_data(fh, path: Path) -> tuple[int, int, np.dtype, int]:
+    """Parse the header up to the data chunk: (channels, rate, dtype, whole frames).
+
+    Leaves ``fh`` at the first data byte. Chunks other than fmt and data are
+    skipped; a data chunk cut short counts the whole frames present.
+    """
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+        raise FormatError(f"{path}: not a RIFF/WAVE file")
+    fmt = None
+    while True:
+        chunk = fh.read(8)
+        if len(chunk) < 8:
+            raise FormatError(f"{path}: no data chunk")
+        chunk_id, size = struct.unpack("<4sI", chunk)
+        if chunk_id == b"data":
+            break
+        skip = size + (size & 1)  # odd chunks carry a pad byte
+        if chunk_id == b"fmt ":
+            body = fh.read(min(size, 40))
+            if len(body) < min(size, 40):
+                raise FormatError(f"{path}: fmt chunk cut short")
+            fmt = _read_fmt(body, path)
+            skip -= len(body)
+        fh.seek(skip, 1)
+    if fmt is None:
+        raise FormatError(f"{path}: no fmt chunk before data")
+    channels, rate, dtype = fmt
+    present = os.fstat(fh.fileno()).st_size - fh.tell()
+    return channels, rate, dtype, min(size, present) // (channels * dtype.itemsize)
+
+
+def read_wav_header(path: str | Path) -> WavHeader:
+    """The sample count and rate ``read_wav`` would give, without reading the samples."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        _, rate, _, frames = _seek_data(fh, path)
+    return WavHeader(n_samples=frames, sample_rate=int(rate))
+
+
 def read_wav(path: str | Path) -> AudioClip:
     """Read a RIFF/WAVE file (PCM16 or float32) as a mono clip in [-1, 1].
 
@@ -128,30 +176,7 @@ def read_wav(path: str | Path) -> AudioClip:
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
-            raise FormatError(f"{path}: not a RIFF/WAVE file")
-        fmt = None
-        while True:
-            chunk = fh.read(8)
-            if len(chunk) < 8:
-                raise FormatError(f"{path}: no data chunk")
-            chunk_id, size = struct.unpack("<4sI", chunk)
-            if chunk_id == b"data":
-                break
-            skip = size + (size & 1)  # odd chunks carry a pad byte
-            if chunk_id == b"fmt ":
-                body = fh.read(min(size, 40))
-                if len(body) < min(size, 40):
-                    raise FormatError(f"{path}: fmt chunk cut short")
-                fmt = _read_fmt(body, path)
-                skip -= len(body)
-            fh.seek(skip, 1)
-        if fmt is None:
-            raise FormatError(f"{path}: no fmt chunk before data")
-        channels, rate, dtype = fmt
-        present = os.fstat(fh.fileno()).st_size - fh.tell()
-        frames = min(size, present) // (channels * dtype.itemsize)
+        channels, rate, dtype, frames = _seek_data(fh, path)
         data = np.fromfile(fh, dtype=dtype, count=frames * channels)
 
     samples = data.astype(np.float32) / 32768.0 if dtype == np.int16 else data
@@ -190,6 +215,11 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int,
         fh.write(data.tobytes())
 
 
+def resampled_length(n_samples: int, sample_rate: int, target_rate: int) -> int:
+    """Samples ``resample`` makes of n samples at one rate when it moves them to another."""
+    return int(round(n_samples * target_rate / sample_rate))
+
+
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Resample a clip by linear interpolation onto the target-rate grid.
 
@@ -197,11 +227,11 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """
     if target_rate <= 0:
         raise ContractError("target_rate must be positive")
-    if target_rate == clip.sample_rate:
+    if target_rate == clip.sample_rate or not len(clip.samples):
         out = clip.samples
     else:
         n_in = len(clip.samples)
-        n_out = int(round(n_in * target_rate / clip.sample_rate))
+        n_out = resampled_length(n_in, clip.sample_rate, target_rate)
         t_out = np.arange(n_out, dtype=np.float64) / target_rate
         t_in = np.arange(n_in, dtype=np.float64) / clip.sample_rate
         out = np.interp(t_out, t_in, clip.samples.astype(np.float64))

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import AudioClip, DatasetIndex, resample
+from .audio_io import (AudioClip, DatasetEntry, DatasetIndex, read_wav_header, resample,
+                       resampled_length)
 from .errors import ConfigError, ContractError, FormatError, TooShortError
 
 FEATURE_MAGIC = b"AADF"
@@ -312,19 +314,53 @@ class ClipFeatures:
     path: str
 
 
+@contextmanager
+def clip_named(path: str) -> Iterator[None]:
+    """Name the clip in a TooShortError raised inside the block."""
+    try:
+        yield
+    except TooShortError as exc:
+        raise TooShortError(f"{path}: {exc}") from None
+
+
+def _clip_features(index: DatasetIndex, entry: DatasetEntry, config: FeatureConfig,
+                   target_rate: int | None, filterbanks: dict[int, np.ndarray]) -> ClipFeatures:
+    clip = index.read(entry)
+    if target_rate is not None and clip.sample_rate != target_rate:
+        clip = resample(clip, target_rate)
+    if clip.sample_rate not in filterbanks:
+        filterbanks[clip.sample_rate] = mel_filterbank(config, clip.sample_rate)
+    with clip_named(entry.path):
+        fm = log_mel(clip, config, filterbank=filterbanks[clip.sample_rate])
+    return ClipFeatures(features=fm, label=entry.label, machine_type=entry.machine_type,
+                        machine_id=entry.machine_id, path=entry.path)
+
+
 def dataset_features(index: DatasetIndex, config: FeatureConfig,
-                     target_rate: int | None = None) -> list[ClipFeatures]:
-    """Extract log-mel features for every entry of an index, in index order."""
-    out = []
-    fb_cache: dict[int, np.ndarray] = {}
+                     target_rate: int | None = None) -> Iterator[ClipFeatures]:
+    """Log-mel features of every entry of an index, one clip at a time, in index order.
+
+    Only the clip last yielded is held, not its samples: ``list()`` the
+    result to keep every clip.
+    """
+    filterbanks: dict[int, np.ndarray] = {}
     for entry in index.entries:
-        clip = index.read(entry)
-        if target_rate is not None and clip.sample_rate != target_rate:
-            clip = resample(clip, target_rate)
-        if clip.sample_rate not in fb_cache:
-            fb_cache[clip.sample_rate] = mel_filterbank(config, clip.sample_rate)
-        fm = log_mel(clip, config, filterbank=fb_cache[clip.sample_rate])
-        out.append(ClipFeatures(features=fm, label=entry.label,
-                                machine_type=entry.machine_type,
-                                machine_id=entry.machine_id, path=entry.path))
-    return out
+        yield _clip_features(index, entry, config, target_rate, filterbanks)
+
+
+def dataset_frame_counts(index: DatasetIndex, config: FeatureConfig,
+                         target_rate: int | None = None) -> list[int]:
+    """The frames ``dataset_features`` makes of each entry, from the WAV headers alone.
+
+    Raises TooShortError naming the first clip shorter than one FFT frame.
+    """
+    counts = []
+    for entry in index.entries:
+        header = read_wav_header(index.full_path(entry))
+        n = header.n_samples
+        if target_rate is not None and header.sample_rate != target_rate:
+            n = resampled_length(n, header.sample_rate, target_rate)
+        if n < config.n_fft:
+            raise TooShortError(f"{entry.path}: clip has {n} samples, need >= {config.n_fft}")
+        counts.append(frame_count(n, config))
+    return counts

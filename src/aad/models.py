@@ -259,24 +259,27 @@ class Model:
             return self.spec.context_frames
         return self.spec.window_frames
 
-    def input_starts(self, fm: FeatureMatrix) -> np.ndarray:
-        """First frame of each of a clip's model inputs, in order.
+    def input_starts(self, frames: int) -> np.ndarray:
+        """First frame of each model input of a clip of that many frames, in order.
 
         Context rows start at every frame; windows every ``window_hop``
         frames, plus one more that ends at the last frame.
         """
-        if fm.dims != self.spec.n_mels:
-            raise ShapeError(f"features have {fm.dims} mel bands, the model takes "
-                             f"{self.spec.n_mels}")
         span = self.input_frames
-        if fm.frames < span:
+        if frames < span:
             name = "context_frames" if self.spec.kind == "dense_ae" else "window_frames"
-            raise TooShortError(f"{fm.frames} frames < {name} {span}")
-        last = fm.frames - span
+            raise TooShortError(f"{frames} frames < {name} {span}")
+        last = frames - span
         if self.spec.kind == "dense_ae":
             return np.arange(last + 1)
         starts = np.arange(0, last + 1, self.spec.window_hop)
         return starts if starts[-1] == last else np.append(starts, last)
+
+    def check_dims(self, fm: FeatureMatrix) -> None:
+        """Raise ShapeError unless the features have the model's mel bands."""
+        if fm.dims != self.spec.n_mels:
+            raise ShapeError(f"features have {fm.dims} mel bands, the model takes "
+                             f"{self.spec.n_mels}")
 
     def input_view(self, frames: np.ndarray) -> np.ndarray:
         """Every model input of a (frames, mels) matrix, as one strided view.
@@ -319,7 +322,9 @@ class Model:
 
     def inputs_from_features(self, fm: FeatureMatrix) -> np.ndarray:
         """Raw-space model inputs of one clip."""
-        return self.input_view(fm.data)[self.input_starts(fm)]
+        self.check_dims(fm)
+        starts = self.input_starts(fm.frames)  # before the view, which needs a whole input
+        return self.input_view(fm.data)[starts]
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> ForwardResult:
         raise NotImplementedError

@@ -13,13 +13,13 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .audio_io import ANOMALY, NORMAL
 from .errors import ContractError, ShapeError
-from .features import ClipFeatures, FeatureMatrix
+from .features import ClipFeatures, FeatureMatrix, clip_named
 from .models import Model
 
 
@@ -50,13 +50,16 @@ def score_clip(model: Model, fm: FeatureMatrix) -> float:
     return anomaly_score(xa, xr)
 
 
-def score_dataset(model: Model, clips: Sequence[ClipFeatures]) -> list[ScoreRecord]:
-    return [
-        ScoreRecord(clip_path=c.path, score=score_clip(model, c.features),
-                    label=c.label, machine_type=c.machine_type,
-                    machine_id=c.machine_id)
-        for c in clips
-    ]
+def score_dataset(model: Model, clips: Iterable[ClipFeatures]) -> list[ScoreRecord]:
+    """One score record per clip, in order; each clip may be dropped once it is scored."""
+    records = []
+    for c in clips:
+        with clip_named(c.path):
+            score = score_clip(model, c.features)
+        records.append(ScoreRecord(clip_path=c.path, score=score, label=c.label,
+                                   machine_type=c.machine_type, machine_id=c.machine_id))
+        del c  # not held while the next clip is extracted
+    return records
 
 
 def select_threshold(normal_scores: Sequence[float], max_fpr: float = 0.10) -> float:

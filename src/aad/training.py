@@ -4,11 +4,11 @@ The guard is strict: any clip not labeled normal is rejected before a
 single gradient step. Shuffling is reseeded per epoch from the master
 seed, so (seed, data, config) fixes the final parameters bit for bit.
 
-Training copies the clips' frames once, into one float32 matrix, and keeps
-the start row of every model input. Each batch gathers and normalizes only
-its own inputs, and the normalization statistics are float64 sums over the
-frames, so the inputs (P-frame context rows, overlapping windows) are never
-all held at once.
+Training writes the clips' frames once, into one float32 matrix sized up
+front, and keeps the start row of every model input. Each batch gathers and
+normalizes only its own inputs, and the normalization statistics are float64
+sums over the frames, so the inputs (P-frame context rows, overlapping
+windows) are never all held at once.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .audio_io import NORMAL
 from .errors import ConfigError, ContractError, DivergenceError, SemiSupervisionError
-from .features import ClipFeatures
+from .features import ClipFeatures, clip_named
 from .heap import keep_freed_memory
 from .models import Model, checkpoint_load, checkpoint_save, vae_loss
 from .tensor import Tensor, adam_step, backward, init_adam, zero_grads
@@ -79,21 +79,6 @@ def _batch_loss(model: Model, batch: np.ndarray, use_vae: bool,
     return vae_loss(x, out.recon, out.latent if use_vae else None).total
 
 
-def _frame_matrix(model: Model,
-                  clips: Sequence[ClipFeatures]) -> tuple[np.ndarray, np.ndarray]:
-    """The clips' frames as one float32 matrix, and the row where each input starts.
-
-    Inputs never cross a clip boundary, since each clip's starts leave room
-    for a whole input inside it.
-    """
-    starts, offset = [], 0
-    for c in clips:
-        starts.append(offset + model.input_starts(c.features))
-        offset += c.features.frames
-    return (np.concatenate([c.features.data for c in clips], dtype=np.float32),
-            np.concatenate(starts))
-
-
 def _eval_loss(model: Model, frames: np.ndarray, starts: np.ndarray, use_vae: bool,
                batch_size: int) -> float:
     inputs = model.input_view(frames)
@@ -104,9 +89,17 @@ def _eval_loss(model: Model, frames: np.ndarray, starts: np.ndarray, use_vae: bo
     return total / len(starts)
 
 
-def train(model: Model, clips: Sequence[ClipFeatures], cfg: TrainConfig,
-          checkpoint_dir: str | Path | None = None) -> tuple[Model, TrainLog]:
+def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
+          checkpoint_dir: str | Path | None = None,
+          frame_counts: Sequence[int] | None = None) -> tuple[Model, TrainLog]:
     """Train a model on normal-only clip features.
+
+    ``clips`` may be a one-pass iterator, such as ``dataset_features``, when
+    ``frame_counts`` gives each clip's frame count up front (as
+    ``dataset_frame_counts`` reads it from the WAV headers): the frame
+    matrices are then sized first and each clip is written into its rows as
+    it arrives, so no clip's features are held beside them. Without
+    ``frame_counts`` the clips are listed first.
 
     Returns the trained model and a per-epoch log. When ``checkpoint_dir``
     is given, ``last.aadm`` is written at the end and ``best.aadm`` at the
@@ -115,31 +108,63 @@ def train(model: Model, clips: Sequence[ClipFeatures], cfg: TrainConfig,
     command already does, so that library callers reuse freed memory too.
     """
     keep_freed_memory()
-    if not clips:
+    if frame_counts is None:
+        clips = list(clips)
+        frame_counts = [c.features.frames for c in clips]
+    if not frame_counts:
         raise ContractError("empty training set")
-    bad = [c.path for c in clips if c.label != NORMAL]
-    if bad:
-        raise SemiSupervisionError(
-            f"{len(bad)} non-normal clip(s) in the training set, e.g. {bad[0]}"
-        )
     use_vae = cfg.loss == "vae" or (cfg.loss is None and model.spec.variational)
     if use_vae and not model.spec.variational:
         raise ContractError(f"vae loss needs a variational model, got {model.spec.kind}")
 
     # split by clip so no clip leaks between train and validation
-    n_val = int(round(cfg.validation_split * len(clips)))
-    order = np.random.default_rng([cfg.seed, 1]).permutation(len(clips))
-    val_clips = [clips[i] for i in order[:n_val]]
-    fit_clips = [clips[i] for i in order[n_val:]]
-    if not fit_clips:
+    n_clips = len(frame_counts)
+    n_val = int(round(cfg.validation_split * n_clips))
+    order = np.random.default_rng([cfg.seed, 1]).permutation(n_clips)
+    val_order, fit_order = order[:n_val], order[n_val:]
+    if not len(fit_order):
         raise ContractError("validation split left no training clips")
 
-    # each batch is gathered from the frame matrix: the inputs are never all held
-    frames, starts = _frame_matrix(model, fit_clips)
+    # the fit and validation frame matrices hold their clips in permutation
+    # order; each batch is gathered from them: the inputs are never all held
+    counts = np.asarray(frame_counts, dtype=np.int64)
+    part = np.zeros(n_clips, dtype=np.intp)
+    part[val_order] = 1
+    first_row = np.empty(n_clips, dtype=np.int64)
+    matrices = []
+    for members in (fit_order, val_order):
+        first_row[members] = np.cumsum(counts[members]) - counts[members]
+        matrices.append(np.empty((counts[members].sum(), model.spec.n_mels),
+                                 dtype=np.float32))
+    clip_starts: list[np.ndarray] = []
+    bad = []
+    for i, c in enumerate(clips):
+        if i == n_clips:
+            raise ContractError(f"more clips than the {n_clips} frame counts given")
+        if c.label != NORMAL:
+            bad.append(c.path)
+            continue
+        model.check_dims(c.features)
+        n, row = c.features.frames, first_row[i]
+        if n != counts[i]:
+            raise ContractError(f"{c.path}: {n} frames where {counts[i]} were counted")
+        with clip_named(c.path):
+            clip_starts.append(row + model.input_starts(n))
+        matrices[part[i]][row:row + n] = c.features.data
+        del c  # not held while the next clip is extracted
+    if bad:
+        raise SemiSupervisionError(
+            f"{len(bad)} non-normal clip(s) in the training set, e.g. {bad[0]}"
+        )
+    if len(clip_starts) != n_clips:
+        raise ContractError(f"{len(clip_starts)} clips for {n_clips} frame counts")
+    frames, val_frames = matrices
+    starts = np.concatenate([clip_starts[i] for i in fit_order])
     if model.spec.normalize:
         model.fit_normalization(frames, starts)
     inputs = model.input_view(frames)
-    val = _frame_matrix(model, val_clips) if val_clips else None
+    val = ((val_frames, np.concatenate([clip_starts[i] for i in val_order]))
+           if n_val else None)
 
     state = init_adam(model.params, lr=cfg.lr)
     log = TrainLog()

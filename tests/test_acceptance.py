@@ -52,8 +52,8 @@ def e2e(tmp_path_factory):
                                              duration_s=2.0, sample_rate=16000,
                                              seed=7))
     train_index, test_index = split_index(index, test_normal_fraction=0.15, seed=7)
-    train_clips = dataset_features(train_index, SMALL_FEATURES)
-    test_clips = dataset_features(test_index, SMALL_FEATURES)
+    train_clips = list(dataset_features(train_index, SMALL_FEATURES))
+    test_clips = list(dataset_features(test_index, SMALL_FEATURES))
     model = build(default_spec("tcn_cvae", n_mels=64, seed=7))
     model, log = train(model, train_clips,
                        TrainConfig(epochs=20, batch_size=64, seed=7,

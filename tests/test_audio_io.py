@@ -176,6 +176,10 @@ class TestWavFormat:
 
 
 class TestResample:
+    def test_empty_clip_stays_empty(self):
+        out = resample(AudioClip(np.zeros(0, np.float32), 16000), 8000)
+        assert out.samples.size == 0 and out.sample_rate == 8000
+
     def test_identity_rate(self, sine_clip):
         out = resample(sine_clip, sine_clip.sample_rate)
         np.testing.assert_array_equal(out.samples, sine_clip.samples)

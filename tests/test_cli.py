@@ -550,3 +550,97 @@ class TestRejectedValues:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stderr.strip().splitlines()[-1] == "False"
+
+
+class TestOneClipAtATime:
+    """Commands that read a dataset hold one clip's features at a time."""
+
+    @pytest.fixture(scope="class")
+    def short_clips(self, tmp_path_factory):
+        """1 s clips (30 frames) and a tcn_cvae trained on 2 s clips with 32-frame windows."""
+        ws = tmp_path_factory.mktemp("short")
+        for name, seconds in (("long", "2"), ("short", "1")):
+            assert main(["synth", "--out", str(ws / name), "--n-normal", "4",
+                         "--n-anomaly", "2", "--duration-s", seconds,
+                         "--sample-rate", "16000", "--seed", "3"]) == 0
+        assert main(["train", "--root", str(ws / "long"), "--out", str(ws / "run"),
+                     "--model", "tcn_cvae", "--window-frames", "32", "--tcn-layers", "2",
+                     "--tcn-channels", "4", "--epochs", "0", *SMALL_FLAGS]) == 0
+        return ws
+
+    @pytest.mark.parametrize("cmd,extra", [("score", []), ("eval", []),
+                                           ("embed", ["--space", "latent"])])
+    def test_clips_shorter_than_the_model_window(self, short_clips, cmd, extra, tmp_path,
+                                                 capsys):
+        capsys.readouterr()
+        rc = main([cmd, "--root", str(short_clips / "short"), "--out", str(tmp_path),
+                   "--model", str(short_clips / "run" / "last.aadm"), *extra, *SMALL_FLAGS])
+        assert rc == 1
+        line = one_line_error(capsys, cmd)
+        assert re.search(r"synthetic/id_00/\w+/000\d\.wav: 30 frames < window_frames 32", line)
+
+    def test_train_clip_shorter_than_one_fft_frame(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        short = data / "synthetic" / "id_00" / "normal" / "short.wav"
+        write_wav(short, np.zeros(1000, np.float32), 16000)
+        rc = main(["train", "--root", str(data), "--out", str(tmp_path / "run"),
+                   "--epochs", "1", "--test-fraction", "0.04", *SMALL_FLAGS])
+        assert rc == 1
+        line = one_line_error(capsys, "train")
+        assert line.endswith("synthetic/id_00/normal/short.wav: clip has 1000 samples, "
+                             "need >= 1024")
+        assert not (tmp_path / "run" / "last.aadm").exists()
+
+    def test_embed_max_clips_reads_only_the_drawn_clips(self, workspace, tmp_path,
+                                                        monkeypatch):
+        import aad.audio_io
+        read = aad.audio_io.read_wav
+        paths = []
+        monkeypatch.setattr(aad.audio_io, "read_wav",
+                            lambda path: paths.append(path) or read(path))
+        rc = main(["embed", "--root", str(workspace / "data"), "--out", str(tmp_path),
+                   "--max-clips", "5", "--perplexity", "1.2", "--iterations", "10",
+                   "--seed", "7", *SMALL_FLAGS])
+        assert rc == 0
+        assert len(paths) == len(set(paths)) == 5
+        rows = (tmp_path / "embed_features.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 5
+
+    def test_eval_names_each_id_whose_pauc_selects_no_normal(self, workspace, tmp_path,
+                                                             capsys):
+        # the test partition holds 2 of the 24 normals: p=0.05 selects none of them
+        rc = main(["eval", "--root", str(workspace / "data"), "--out", str(tmp_path),
+                   "--model", str(workspace / "run" / "last.aadm"), "--seed", "7",
+                   "--p", "0.05", *SMALL_FLAGS])
+        assert rc == 0
+        ids = json.loads((tmp_path / "report.json").read_text())["machines"][0]["ids"]
+        assert ids[0]["pauc"] is None and ids[0]["auc"] is not None
+        assert capsys.readouterr().err.splitlines() == [
+            "aad eval: synthetic id 0: pauc is null: p=0.05 selects none of 2 normal "
+            "clips; p >= 1/2 = 0.5 selects one"]
+        rc = main(["eval", "--root", str(workspace / "data"), "--out", str(tmp_path),
+                   "--model", str(workspace / "run" / "last.aadm"), "--seed", "7",
+                   "--p", "0.5", *SMALL_FLAGS])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestProcessLevel:
+    def test_allocation_numpy_refuses_is_one_line_error(self, tmp_path, capsys):
+        # 1e12 s at 16 kHz asks for 114 PiB, which numpy refuses before allocating
+        rc = main(["synth", "--out", str(tmp_path), "--n-normal", "1", "--n-anomaly", "0",
+                   "--duration-s", "1e12"])
+        assert rc == 1
+        assert "out of memory: Unable to allocate" in one_line_error(capsys, "synth")
+
+    def test_gc_freeze_at_exit_is_registered_once(self, monkeypatch, capsys):
+        import atexit
+        import gc
+        import aad.cli
+        registered = []
+        monkeypatch.setattr(atexit, "register", registered.append)
+        aad.cli._freeze_objects_at_exit.cache_clear()
+        for argv in (["synth", "--help"], ["nonsense"], ["stream", "--help"]):
+            main(argv)
+        assert registered == [gc.freeze]

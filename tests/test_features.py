@@ -1,17 +1,21 @@
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aad.audio_io import AudioClip
+from aad.audio_io import NORMAL, AudioClip, DatasetEntry, DatasetIndex
 from aad.errors import ConfigError, ContractError, FormatError, TooShortError
 from aad.features import (
     FeatureConfig,
     FeatureMatrix,
+    dataset_features,
+    dataset_frame_counts,
     hz_to_mel,
     load_features,
     log_mel,
@@ -22,6 +26,8 @@ from aad.features import (
     stft_power,
     stream_windows,
 )
+
+from test_audio_io import GUID_TAIL, fmt_body, riff
 
 SMALL = dict(n_fft=1024, hop=512, n_mels=64, context_frames=5)
 
@@ -337,3 +343,46 @@ class TestFeatureConfigValidation:
         cfg = FeatureConfig(fmax=20000.0)
         with pytest.raises(ConfigError):
             cfg.effective_fmax(22050)
+
+
+class TestFrameCountsFromHeaders:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 3000), channels=st.integers(1, 2),
+           encoding=st.sampled_from(["pcm16", "float32", "extensible"]),
+           odd_chunk=st.booleans(), cut=st.integers(0, 7),
+           rates=st.sampled_from([(16000, None), (16000, 16000), (16000, 8000),
+                                  (22050, 16000), (11025, 16000), (8000, 44100)]))
+    def test_header_count_is_the_log_mel_frame_count(self, n, channels, encoding, odd_chunk,
+                                                     cut, rates):
+        """Header-only frame counts equal what extraction makes of the same file:
+        PCM16, float32 and WAVE_FORMAT_EXTENSIBLE; odd chunks before the data;
+        a data chunk cut short of its declared size; with and without resampling."""
+        rate, target = rates
+        cfg = FeatureConfig(n_fft=256, hop=64, n_mels=8, fmax=3500.0)
+        rng = np.random.default_rng(n)
+        if encoding == "pcm16":
+            data = rng.integers(-32768, 32768, (n, channels)).astype("<i2")
+            fmt = fmt_body(1, channels, rate, 16)
+        else:
+            data = rng.uniform(-1, 1, (n, channels)).astype("<f4")
+            fmt = (fmt_body(3, channels, rate, 32, b"\x00\x00") if encoding == "float32"
+                   else fmt_body(0xFFFE, channels, rate, 32,
+                                 struct.pack("<HHII", 22, 32, 0, 3) + GUID_TAIL))
+        extra = [(b"LIST", b"odd")] if odd_chunk else []
+        blob = riff((b"fmt ", fmt), *extra, (b"data", data.tobytes()))
+        blob = blob[:len(blob) - cut]  # cut bytes leave the declared size longer than the data
+        with tempfile.TemporaryDirectory() as root:
+            Path(root, "a.wav").write_bytes(blob)
+            index = DatasetIndex(root, [DatasetEntry("synthetic", 0, NORMAL, "a.wav")])
+            counted = outcome(lambda: dataset_frame_counts(index, cfg, target_rate=target))
+            made = outcome(lambda: [c.features.frames
+                                    for c in dataset_features(index, cfg, target_rate=target)])
+        assert counted == made
+
+
+def outcome(fn):
+    """What fn returns, or the type and message of the AadError it raises."""
+    try:
+        return fn()
+    except (FormatError, TooShortError) as exc:
+        return type(exc), str(exc)

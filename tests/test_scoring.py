@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from aad.audio_io import ANOMALY, NORMAL
+from aad.audio_io import ANOMALY, NORMAL, DatasetIndex, SynthConfig, synth_generate
 from aad.errors import ContractError, ShapeError
+from aad.features import FeatureConfig, dataset_features
+from aad.models import build, default_spec
 from aad.scoring import (
     ScoreRecord,
     anomaly_score,
     decide,
+    score_dataset,
     select_threshold,
     write_scores_csv,
 )
@@ -119,3 +124,27 @@ class TestScoreCsv:
         assert lines[0] == "clip_path,machine_type,machine_id,label,score,decision"
         assert lines[1].endswith("normal")
         assert lines[2].endswith("anomaly")
+
+
+class TestScoreDatasetMemory:
+    def test_peak_does_not_grow_with_the_clip_count(self, tmp_path):
+        """Scoring 32 clips peaks less than two clips' features above scoring 4:
+        each clip's features are dropped once it is scored."""
+        index = synth_generate(tmp_path, SynthConfig(n_normal=32, n_anomaly=0,
+                                                     duration_s=4.0, seed=1))
+        cfg = FeatureConfig(n_mels=64, context_frames=1)
+        model = build(default_spec("dense_ae", n_mels=64, context_frames=1, hidden=(16,),
+                                   bottleneck=4))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                clips = dataset_features(DatasetIndex(index.root, index.entries[:n]), cfg)
+                assert len(score_dataset(model, clips)) == n
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # FFT plans and the filterbank exist from here on
+        clip_bytes = 124 * 64 * 4  # 4 s at hop 512: 124 frames of 64 float32 mels
+        assert peak(32) - peak(4) < 2 * clip_bytes

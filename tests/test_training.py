@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aad.audio_io import ANOMALY, NORMAL
+from aad.audio_io import ANOMALY, NORMAL, SynthConfig, synth_generate
 from aad.errors import ConfigError, ContractError, DivergenceError, SemiSupervisionError
-from aad.features import ClipFeatures, FeatureConfig, FeatureMatrix, stack_frames
+from aad.features import (ClipFeatures, FeatureConfig, FeatureMatrix, dataset_features,
+                          dataset_frame_counts, log_mel, stack_frames)
 from aad.models import build, default_spec, vae_loss
 from aad.tensor import Tensor, adam_step, backward, init_adam, zero_grads
 from aad.training import (
@@ -178,7 +179,7 @@ class TestFrameMatrix:
                                           direct_inputs(model, c.features))
         frames = np.concatenate([c.features.data for c in clips])
         offsets = np.cumsum([0] + [c.features.frames for c in clips])
-        starts = np.concatenate([o + model.input_starts(c.features)
+        starts = np.concatenate([o + model.input_starts(c.features.frames)
                                  for o, c in zip(offsets, clips)])
         np.testing.assert_array_equal(model.input_view(frames)[starts], inputs)
         model.fit_normalization(frames, starts)
@@ -208,6 +209,33 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * (frame_bytes + batch_bytes + 4 * param_bytes)
+
+    def test_frames_are_written_once_as_each_clip_arrives(self, tmp_path):
+        """Given the frame counts up front, ``train`` holds its frame matrix and one
+        clip's extraction at a time: with no epochs it peaks under the frame bytes
+        plus two clips' log-mel peaks (filterbank included). Listing the clips
+        first, then copying them, would hold the frames twice."""
+        index = synth_generate(tmp_path, SynthConfig(n_normal=128, n_anomaly=0,
+                                                     duration_s=1.0, seed=2))
+        cfg = FeatureConfig()  # 512 mels
+        model = build(default_spec("dense_ae", n_mels=cfg.n_mels, context_frames=1,
+                                   hidden=(8,), bottleneck=2, normalize=False))
+        counts = dataset_frame_counts(index, cfg)
+        frame_bytes = sum(counts) * cfg.n_mels * 4
+        clip = index.read(index.entries[0])
+        log_mel(clip, cfg)  # FFT plans exist from here on
+        tracemalloc.start()
+        try:
+            log_mel(clip, cfg)
+            clip_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            train(model, dataset_features(index, cfg), TrainConfig(epochs=0),
+                  frame_counts=counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < frame_bytes + 2 * clip_peak
+        assert 2 * clip_peak < frame_bytes
 
     def test_tcn_training_step_keeps_one_array_per_activated_layer(self):
         """One ``tcn_cvae`` step at batch 64, 64 mels and T=32 peaks below 22

@@ -2,7 +2,8 @@
 
 Synthesizes a short harmonic clip, walks it through STFT power, the mel
 filterbank, and dB conversion, then round-trips the result through the
-AADF feature cache format.
+AADF feature cache format. The frames become model inputs as a dense
+autoencoder stacks them into context vectors.
 """
 
 import tempfile
@@ -13,12 +14,13 @@ import numpy as np
 from aad import (
     AudioClip,
     FeatureConfig,
+    build,
+    default_spec,
     hz_to_mel,
     load_features,
     log_mel,
     mel_filterbank,
     save_features,
-    stack_frames,
     stft_power,
 )
 
@@ -43,9 +45,10 @@ fm = log_mel(clip, cfg)
 print(f"log-mel features: {fm.frames} frames x {fm.dims} mels, "
       f"range [{fm.data.min():.1f}, {fm.data.max():.1f}] dB")
 
-stacked = stack_frames(fm, cfg.context_frames)
-print(f"context vectors (P={cfg.context_frames}): "
-      f"{stacked.frames} rows x {stacked.dims} dims")
+# a dense autoencoder reads P consecutive frames as one context vector
+model = build(default_spec("dense_ae", n_mels=cfg.n_mels, context_frames=cfg.context_frames))
+rows = model.inputs_from_features(fm)
+print(f"context vectors (P={cfg.context_frames}): {rows.shape[0]} rows x {rows.shape[1]} dims")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "clip.aadf"

@@ -9,7 +9,6 @@ import tempfile
 from pathlib import Path
 
 from aad import (
-    EvalConfig,
     FeatureConfig,
     SynthConfig,
     TrainConfig,
@@ -34,8 +33,7 @@ with tempfile.TemporaryDirectory() as tmp:
         model = build(default_spec(kind, n_mels=64, seed=9))
         model, log = train(model, train_clips,
                            TrainConfig(epochs=5, batch_size=64, seed=9))
-        report = evaluate_dataset(model, test_index,
-                                  EvalConfig(features=features, p=0.25))
+        report = evaluate_dataset(model, test_index, features, p=0.25)
         reports.append(report)
         print(f"{kind:>9}: {model.param_count():>7} params, "
               f"final loss {log.train_losses()[-1]:.2f}")

@@ -34,7 +34,6 @@ from .features import (
     mel_filterbank,
     mel_to_hz,
     save_features,
-    stack_frames,
     stft_power,
     stream_windows,
 )
@@ -60,7 +59,6 @@ from .scoring import (
     write_scores_csv,
 )
 from .evaluation import (
-    EvalConfig,
     EvalReport,
     emit_report,
     evaluate_dataset,

@@ -45,14 +45,10 @@ _SAMPLE_TYPES = {(_WAVE_PCM, 16): np.dtype("<i2"), (_WAVE_FLOAT, 32): np.dtype("
 
 @dataclass
 class AudioClip:
-    """Mono waveform with metadata. Samples are float32 in [-1, 1]."""
+    """Mono waveform. Samples are float32 in [-1, 1]."""
 
     samples: np.ndarray
     sample_rate: int
-    source_path: str | None = None
-    machine_type: str | None = None
-    machine_id: int | None = None
-    label: str = UNLABELED
 
     @property
     def duration_s(self) -> float:
@@ -76,14 +72,7 @@ class DatasetIndex:
         return str(Path(self.root) / entry.path)
 
     def read(self, entry: DatasetEntry) -> AudioClip:
-        clip = read_wav(self.full_path(entry))
-        clip.machine_type = entry.machine_type
-        clip.machine_id = entry.machine_id
-        clip.label = entry.label
-        return clip
-
-    def with_label(self, label: str) -> list[DatasetEntry]:
-        return [e for e in self.entries if e.label == label]
+        return read_wav(self.full_path(entry))
 
     def machines(self) -> list[tuple[str, int]]:
         """Distinct (machine_type, machine_id) pairs, sorted."""
@@ -183,7 +172,7 @@ def read_wav(path: str | Path) -> AudioClip:
     if channels > 1:
         samples = samples.reshape(frames, channels)
         samples = samples.mean(axis=1, dtype=np.float64).astype(np.float32)
-    return AudioClip(samples=samples, sample_rate=int(rate), source_path=str(path))
+    return AudioClip(samples=samples, sample_rate=int(rate))
 
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int,
@@ -236,14 +225,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         t_in = np.arange(n_in, dtype=np.float64) / clip.sample_rate
         out = np.interp(t_out, t_in, clip.samples.astype(np.float64))
         out = out.astype(np.float32)
-    return AudioClip(
-        samples=out,
-        sample_rate=int(target_rate),
-        source_path=clip.source_path,
-        machine_type=clip.machine_type,
-        machine_id=clip.machine_id,
-        label=clip.label,
-    )
+    return AudioClip(samples=out, sample_rate=int(target_rate))
 
 
 def scan_dataset(root: str | Path) -> DatasetIndex:

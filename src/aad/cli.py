@@ -41,7 +41,7 @@ from .annotations import conform, field_hints, required_type
 from .audio_io import (NORMAL, DatasetIndex, SynthConfig, scan_dataset, split_index,
                        synth_generate)
 from .errors import AadError, ConfigError, ContractError, FormatError
-from .evaluation import EvalConfig, emit_report, evaluate_dataset
+from .evaluation import emit_report, evaluate_dataset
 from .features import (FeatureConfig, clip_named, dataset_features, dataset_frame_counts,
                        frame_count, save_features, stream_windows)
 from .heap import keep_freed_memory
@@ -78,6 +78,8 @@ class RunConfig:
     embed: EmbedConfig = field(init=False)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sample_rate is not None and self.sample_rate < 1:
             raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
 
@@ -228,12 +230,10 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     run = resolve(args)
-    cfg = EvalConfig(features=run.features, p=args.p, pauc_ceil=args.pauc_ceil,
-                     sample_rate=run.sample_rate)
     model = checkpoint_load(args.checkpoint)
     index = scan_dataset(run.dataset_root)
     _, test_index = split_index(index, run.test_normal_fraction, run.seed)
-    report = evaluate_dataset(model, test_index, cfg)
+    report = evaluate_dataset(model, test_index, run.features, args.p, run.sample_rate)
     for machine in report.machines:
         for result in machine.ids:
             if result.auc is not None and result.pauc is None:  # p selects no normal
@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd["eval"]
     p.add_argument("--model", required=True, dest="checkpoint")
     p.add_argument("--p", type=float, default=0.05)
-    p.add_argument("--pauc-ceil", action="store_true", dest="pauc_ceil")
     p.add_argument("--format", choices=["json", "csv", "markdown"], default="json")
 
     p = cmd["embed"]

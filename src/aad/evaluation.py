@@ -3,7 +3,8 @@
 Both metrics are pairwise comparisons of anomaly scores against normal
 scores with ties counted half: H(x) = 1 for x > 0, 0.5 at 0, else 0.
 pAUC restricts the comparison to the floor(p * N-) highest-scoring
-normals (the hardest negatives), so pauc(p=1) is exactly roc_auc.
+normals (the hardest negatives), so pauc(p=1) is exactly roc_auc. The
+pairs are counted by ranks, in O((P + N) log N) time and linear memory.
 """
 
 from __future__ import annotations
@@ -36,39 +37,38 @@ def _split_scores(records: Sequence[ScoreRecord]) -> tuple[np.ndarray, np.ndarra
     return pos, neg
 
 
-def _h_mean(pos: np.ndarray, neg: np.ndarray) -> float:
-    h = (pos[None, :] > neg[:, None]).astype(np.float64)
-    h += 0.5 * (pos[None, :] == neg[:, None])
-    return float(h.mean())
+def _h_mean(pos: np.ndarray, neg_sorted: np.ndarray) -> float:
+    """Mean of H over all (anomaly, normal) pairs, from the ascending normals.
+
+    For each anomaly, ``below`` counts the normals under it and ``upto`` those
+    under or tied with it, so below + upto is twice its H sum.
+    """
+    below = np.searchsorted(neg_sorted, pos, side="left")
+    upto = np.searchsorted(neg_sorted, pos, side="right")
+    return float((below + upto).sum() / (2 * pos.size * neg_sorted.size))
 
 
 def roc_auc(records: Sequence[ScoreRecord]) -> float:
     """Mann-Whitney AUC: mean of H(anomaly score - normal score) over pairs."""
     pos, neg = _split_scores(records)
-    return _h_mean(pos, np.sort(neg)[::-1])
+    return _h_mean(pos, np.sort(neg))
 
 
-def pauc(records: Sequence[ScoreRecord], p: float = 0.05,
-         ceil_count: bool = False) -> float:
+def pauc(records: Sequence[ScoreRecord], p: float = 0.05) -> float:
     """Partial AUC over the FPR range [0, p].
 
-    Compares anomalies against the floor(p * N-) normal scores in
-    descending order; ``ceil_count`` switches the bracket to ceiling.
+    Compares anomalies against the floor(p * N-) highest normal scores.
     """
     if not 0.0 < p <= 1.0:
         raise ContractError("p must be in (0, 1]")
     pos, neg = _split_scores(records)
     # back the float product off by an epsilon so e.g. 0.05 * 20 counts as 1
-    if ceil_count:
-        m = int(np.ceil(p * neg.size - 1e-9))
-    else:
-        m = int(np.floor(p * neg.size + 1e-9))
+    m = int(np.floor(p * neg.size + 1e-9))
     if m < 1:
         raise ContractError(
             f"p={p} selects no negatives out of {neg.size}; increase p"
         )
-    hardest = np.sort(neg)[::-1][:m]
-    return _h_mean(pos, hardest)
+    return _h_mean(pos, np.sort(neg)[neg.size - m:])
 
 
 @dataclass
@@ -93,24 +93,18 @@ class EvalReport:
     machines: list[MachineResult] = field(default_factory=list)
 
 
-@dataclass
-class EvalConfig:
-    features: FeatureConfig
-    p: float = 0.05
-    pauc_ceil: bool = False
-    sample_rate: int | None = None  # resample target; None = native rates
+def evaluate_dataset(model: Model, index: DatasetIndex, features: FeatureConfig,
+                     p: float = 0.05, sample_rate: int | None = None) -> EvalReport:
+    """Score every clip of the (test) index and aggregate AUC/pAUC per ID.
 
-    def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ConfigError(f"p must be in (0, 1], got {self.p!r}")
-
-
-def evaluate_dataset(model: Model, index: DatasetIndex,
-                     cfg: EvalConfig) -> EvalReport:
-    """Score every clip of the (test) index and aggregate AUC/pAUC per ID."""
-    clips = dataset_features(index, cfg.features, target_rate=cfg.sample_rate)
+    ``sample_rate`` is the resample target (None: native rates). A ``p``
+    outside (0, 1] is a ConfigError before any clip is read.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ConfigError(f"p must be in (0, 1], got {p!r}")
+    clips = dataset_features(index, features, target_rate=sample_rate)
     records = score_dataset(model, clips)
-    report = EvalReport(model=model.spec.kind, p=cfg.p)
+    report = EvalReport(model=model.spec.kind, p=p)
     by_type: dict[str, MachineResult] = {}
     for mtype, mid in index.machines():
         group = [r for r in records
@@ -120,7 +114,7 @@ def evaluate_dataset(model: Model, index: DatasetIndex,
         except DegenerateEvalError:
             auc_pct = None
         try:
-            pauc_pct = 100.0 * pauc(group, cfg.p, cfg.pauc_ceil)
+            pauc_pct = 100.0 * pauc(group, p)
         except (DegenerateEvalError, ContractError):
             pauc_pct = None
         machine = by_type.setdefault(mtype, MachineResult(machine_type=mtype))

@@ -191,24 +191,6 @@ def log_mel(clip: AudioClip, config: FeatureConfig,
                          frame_rate=clip.sample_rate / config.hop)
 
 
-def stack_frames(fm: FeatureMatrix, context_frames: int) -> FeatureMatrix:
-    """Concatenate sliding groups of P consecutive frames into context rows.
-
-    Output row t is frames [t, t+P-1] concatenated; frames - P + 1 rows.
-    """
-    p = context_frames
-    if p < 1:
-        raise ContractError("context_frames must be >= 1")
-    if p == 1:
-        return FeatureMatrix(data=fm.data.copy(), frame_rate=fm.frame_rate)
-    if fm.frames < p:
-        raise TooShortError(f"{fm.frames} frames < context_frames {p}")
-    windows = np.lib.stride_tricks.sliding_window_view(fm.data, (p, fm.dims))
-    stacked = windows[:, 0].reshape(fm.frames - p + 1, p * fm.dims)
-    return FeatureMatrix(data=np.ascontiguousarray(stacked),
-                         frame_rate=fm.frame_rate)
-
-
 @dataclass
 class StreamWindow:
     """One sliding window of features with its position in the stream."""

@@ -65,11 +65,12 @@ class ModelSpec:
                 raise SpecError(f"{f.name}: {exc}") from None
         if self.kind not in MODEL_KINDS:
             raise SpecError(f"unknown model kind {self.kind!r}")
-        if self.n_mels < 1 or self.latent_dim < 1:
-            raise SpecError("n_mels and latent_dim must be >= 1")
-        if self.kind == "dense_ae":
-            if self.context_frames < 1 or self.bottleneck < 1:
-                raise SpecError("dense_ae needs context_frames, bottleneck >= 1")
+        for f in fields(self):  # every size, and each layer's width, is >= 1
+            if f.name in ("kind", "normalize", "seed"):
+                continue
+            value = getattr(self, f.name)
+            if min(value if isinstance(value, tuple) else (value,), default=1) < 1:
+                raise SpecError(f"{f.name} must be >= 1, got {value}")
         if self.kind in ("cae", "cvae"):
             if not self.conv_channels:
                 raise SpecError("conv models need at least one channel stage")
@@ -79,21 +80,10 @@ class ModelSpec:
                     f"window_frames={self.window_frames} must be divisible by "
                     f"{down} for {len(self.conv_channels)} stride-2 stages"
                 )
-        if self.kind == "tcn_cvae":
-            if self.tcn_layers < 1 or self.kernel < 1:
-                raise SpecError("tcn_cvae needs tcn_layers, kernel >= 1")
-        if self.window_hop < 1:
-            raise SpecError("window_hop must be >= 1")
 
     @property
     def dilations(self) -> tuple:
         return tuple(2 ** i for i in range(self.tcn_layers))
-
-    @property
-    def input_dims(self):
-        if self.kind == "dense_ae":
-            return self.n_mels * self.context_frames
-        return (self.n_mels, self.window_frames)
 
     @property
     def variational(self) -> bool:

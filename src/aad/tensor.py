@@ -106,11 +106,6 @@ class Tensor:
         return _unary(self, "sum_squares", np.asarray((self.data * self.data).sum()),
                       grad_fn)
 
-    def mean(self) -> "Tensor":
-        n = self.data.size
-        return _unary(self, "mean", np.asarray(self.data.mean()),
-                      lambda g: np.full_like(self.data, g / n))
-
     def reshape(self, shape) -> "Tensor":
         out_data = self.data.reshape(shape)
         return _unary(self, "reshape", out_data,

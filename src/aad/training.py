@@ -41,7 +41,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     validation_split: float = 0.1
-    loss: str | None = None  # "mse" | "vae" | None = infer from model kind
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -52,8 +51,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be a finite number > 0, got {self.lr!r}")
         if not 0.0 <= self.validation_split < 1.0:
             raise ConfigError("validation_split must be in [0, 1)")
-        if self.loss not in (None, "mse", "vae"):
-            raise ConfigError(f"unknown loss kind {self.loss!r}")
 
 
 @dataclass
@@ -72,20 +69,20 @@ class TrainLog:
         return [e.train_loss for e in self.epochs]
 
 
-def _batch_loss(model: Model, batch: np.ndarray, use_vae: bool,
-                rng: np.random.Generator | None):
+def _batch_loss(model: Model, batch: np.ndarray, rng: np.random.Generator | None):
+    """The VAE loss; a model that is not variational has no latent, so no KL term."""
     x = Tensor(batch)
-    out = model.forward(x, rng=rng if use_vae else None)
-    return vae_loss(x, out.recon, out.latent if use_vae else None).total
+    out = model.forward(x, rng=rng)
+    return vae_loss(x, out.recon, out.latent).total
 
 
-def _eval_loss(model: Model, frames: np.ndarray, starts: np.ndarray, use_vae: bool,
+def _eval_loss(model: Model, frames: np.ndarray, starts: np.ndarray,
                batch_size: int) -> float:
     inputs = model.input_view(frames)
     total = 0.0
     for i in range(0, len(starts), batch_size):
         batch = model._norm(inputs[starts[i:i + batch_size]])
-        total += float(_batch_loss(model, batch, use_vae, rng=None).data) * len(batch)
+        total += float(_batch_loss(model, batch, rng=None).data) * len(batch)
     return total / len(starts)
 
 
@@ -113,9 +110,6 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
         frame_counts = [c.features.frames for c in clips]
     if not frame_counts:
         raise ContractError("empty training set")
-    use_vae = cfg.loss == "vae" or (cfg.loss is None and model.spec.variational)
-    if use_vae and not model.spec.variational:
-        raise ContractError(f"vae loss needs a variational model, got {model.spec.kind}")
 
     # split by clip so no clip leaks between train and validation
     n_clips = len(frame_counts)
@@ -180,7 +174,7 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
         total = 0.0
         for b, start in enumerate(range(0, len(starts), cfg.batch_size)):
             batch = model._norm(inputs[starts[perm[start:start + cfg.batch_size]]])
-            loss = _batch_loss(model, batch, use_vae, rng=rng)
+            loss = _batch_loss(model, batch, rng=rng)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise DivergenceError(epoch=epoch, batch=b)
@@ -190,7 +184,7 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
             zero_grads(model.params)
             total += value * len(batch)
         train_loss = total / len(starts)
-        val_loss = (_eval_loss(model, *val, use_vae, cfg.batch_size)
+        val_loss = (_eval_loss(model, *val, cfg.batch_size)
                     if val is not None else math.nan)
         log.epochs.append(EpochStats(epoch=epoch, train_loss=train_loss,
                                      val_loss=val_loss,

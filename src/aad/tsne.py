@@ -3,7 +3,8 @@
 O(n^2) reference-style implementation: per-row Gaussian bandwidths found
 by bisection to hit the target perplexity, Student-t low-dimensional
 kernel, gradient descent with momentum, gain adaptation, and early
-exaggeration. Intended for desk-scale inputs (n <= ~5000).
+exaggeration. The descent schedule is the fixed one of van der Maaten and
+Hinton (2008). Intended for desk-scale inputs (n <= ~5000).
 """
 
 from __future__ import annotations
@@ -15,11 +16,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio_io import ANOMALY, NORMAL
+from .audio_io import ANOMALY, NORMAL, UNLABELED
 from .errors import ConfigError, ContractError, NumericError
 
 _JITTER_SEED = 0x5EED
 _MIN_GAIN = 0.01
+# the descent schedule
+_LEARNING_RATE = 200.0
+_EARLY_EXAGGERATION = 12.0
+_EXAGGERATION_ITERS = 250
+_MOMENTUM_START = 0.5
+_MOMENTUM_FINAL = 0.8
+_MOMENTUM_SWITCH_ITER = 250
 
 POINT_COLORS = {NORMAL: "#1f77b4", ANOMALY: "#ff7f0e"}  # blue / orange
 _OTHER_COLOR = "#7f7f7f"
@@ -30,12 +38,6 @@ class EmbedConfig:
     output_dims: int = 2
     perplexity: float = 30.0
     iterations: int = 1000
-    learning_rate: float = 200.0
-    early_exaggeration: float = 12.0
-    exaggeration_iters: int = 250
-    momentum_start: float = 0.5
-    momentum_final: float = 0.8
-    momentum_switch_iter: int = 250
     seed: int = 0
 
     def __post_init__(self):
@@ -88,12 +90,16 @@ def _duplicate_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _row_entropy(dist_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
-    """Shannon entropy (nats) and conditional distribution at bandwidth beta."""
-    p = np.exp(-dist_row * beta)
+    """Shannon entropy (nats) and conditional distribution at bandwidth beta.
+
+    The row's smallest distance is taken off first: the distribution is
+    unchanged, the largest term is exp(0) = 1, so the total is >= 1 and no
+    term that matters underflows however far apart the points are.
+    """
+    shifted = dist_row - dist_row.min()
+    p = np.exp(-shifted * beta)
     total = p.sum()
-    if total <= 0:
-        return 0.0, p
-    h = np.log(total) + beta * float((dist_row * p).sum()) / total
+    h = np.log(total) + beta * float((shifted * p).sum()) / total
     return h, p / total
 
 
@@ -183,7 +189,7 @@ def _default_init(n: int, dims: int, seed: int) -> np.ndarray:
 def tsne_embed(x: np.ndarray, cfg: EmbedConfig,
                labels: Sequence[str] | None = None,
                init: np.ndarray | None = None) -> Embedding:
-    """Gradient descent on KL(P || Q) with the configured schedule.
+    """Gradient descent on KL(P || Q) with the fixed schedule.
 
     ``init`` overrides the seeded default initial coordinates (used e.g.
     to check permutation equivariance of the dynamics).
@@ -198,7 +204,7 @@ def tsne_embed(x: np.ndarray, cfg: EmbedConfig,
     # a fully degenerate cloud has uniform affinities and nothing to
     # exaggerate; amplifying them only destabilizes the descent
     degenerate = bool((x == x[0]).all())
-    exaggeration = 1.0 if degenerate else cfg.early_exaggeration
+    exaggeration = 1.0 if degenerate else _EARLY_EXAGGERATION
     y = np.array(init, dtype=np.float64) if init is not None \
         else _default_init(n, cfg.output_dims, cfg.seed)
     if y.shape != (n, cfg.output_dims):
@@ -209,23 +215,22 @@ def tsne_embed(x: np.ndarray, cfg: EmbedConfig,
     kl_history: list[float] = []
     q, num = _student_t_q(y)  # of the current y: the next gradient and the last KL share it
     for it in range(cfg.iterations):
-        exaggerate = it < cfg.exaggeration_iters
+        exaggerate = it < _EXAGGERATION_ITERS
         p_eff = p * exaggeration if exaggerate else p
         w = (p_eff - q) * num
         grad = 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite t-SNE gradient at iteration {it}")
-        momentum = (cfg.momentum_start if it < cfg.momentum_switch_iter
-                    else cfg.momentum_final)
+        momentum = _MOMENTUM_START if it < _MOMENTUM_SWITCH_ITER else _MOMENTUM_FINAL
         flipped = np.sign(grad) != np.sign(velocity)
         gains = np.where(flipped, gains + 0.2, gains * 0.8)
         gains = np.maximum(gains, _MIN_GAIN)
-        velocity = momentum * velocity - cfg.learning_rate * gains * grad
+        velocity = momentum * velocity - _LEARNING_RATE * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
         q, num = _student_t_q(y)
         kl_history.append(_kl(p, q))
-    label_list = list(labels) if labels is not None else ["unlabeled"] * n
+    label_list = list(labels) if labels is not None else [UNLABELED] * n
     return Embedding(points=y, labels=label_list, kl_history=kl_history)
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from aad.audio_io import AudioClip
+from aad.errors import ContractError, TooShortError
+from aad.features import FeatureMatrix
 
 
 @pytest.fixture
@@ -17,6 +19,21 @@ def dominant_freq_hz(samples, sample_rate):
     """FFT-peak oracle: frequency of the largest rfft magnitude bin."""
     spec = np.abs(np.fft.rfft(samples))
     return np.argmax(spec) * sample_rate / len(samples)
+
+
+def stack_frames(fm, context_frames):
+    """Context-row oracle: sliding groups of P consecutive frames, concatenated.
+
+    Row t is frames [t, t+P-1], frame-major; frames - P + 1 rows. A dense_ae
+    model's ``inputs_from_features`` must equal this.
+    """
+    p = context_frames
+    if p < 1:
+        raise ContractError("context_frames must be >= 1")
+    if fm.frames < p:
+        raise TooShortError(f"{fm.frames} frames < context_frames {p}")
+    rows = [fm.data[t:t + p].ravel() for t in range(fm.frames - p + 1)]
+    return FeatureMatrix(data=np.stack(rows), frame_rate=fm.frame_rate)
 
 
 def finite_diff_grad(f, arrays, h=1e-6):

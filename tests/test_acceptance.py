@@ -16,8 +16,8 @@ import pytest
 
 from aad.audio_io import ANOMALY, NORMAL, AudioClip, SynthConfig, split_index, synth_generate
 from aad.cli import main as cli_main
-from aad.evaluation import markdown_table, pauc, roc_auc, evaluate_dataset, EvalConfig
-from aad.features import FeatureConfig,dataset_features, log_mel, stack_frames, stream_windows
+from aad.evaluation import markdown_table, pauc, roc_auc, evaluate_dataset
+from aad.features import FeatureConfig, dataset_features, log_mel, stream_windows
 from aad.models import (
     LatentDistribution,
     build,
@@ -258,8 +258,10 @@ def test_criterion_6_feature_pipeline():
     cfg = FeatureConfig()  # defaults: 1024 fft, 512 hop, 512 mels, P=11
     fm = log_mel(clip, cfg)
     frames_ok = fm.frames == 429
-    stacked = stack_frames(fm, cfg.context_frames)
-    dims_ok = stacked.dims == 5632
+    dense = build(default_spec("dense_ae", n_mels=cfg.n_mels,
+                               context_frames=cfg.context_frames))
+    stacked = dense.inputs_from_features(fm)
+    dims_ok = stacked.shape == (419, 5632)
 
     base = log_mel(AudioClip(x64, sr), cfg)
     loud = log_mel(AudioClip(x64 * 10.0, sr), cfg)
@@ -278,7 +280,7 @@ def test_criterion_6_feature_pipeline():
             stream_ok = False
     ok = frames_ok and dims_ok and shift_ok and stream_ok
     report_line(6, "feature pipeline", ok,
-                f"frames={fm.frames}, stacked dims={stacked.dims}, "
+                f"frames={fm.frames}, stacked dims={stacked.shape[1]}, "
                 f"max |shift-20dB|={np.max(np.abs(shift - 20.0)):.2e}, "
                 f"stream==offline: {stream_ok}")
 
@@ -296,13 +298,12 @@ def test_criterion_7_synthetic_end_to_end(e2e):
 def test_criterion_8_model_ladder_comparison(e2e):
     """Four-model merged report renders per-row bold maxima."""
     reports = []
-    cfg = EvalConfig(features=SMALL_FEATURES, p=0.05)
     for kind in ("dense_ae", "cae", "cvae"):
         model = build(default_spec(kind, n_mels=64, seed=7))
         model, _ = train(model, e2e["train_clips"],
                          TrainConfig(epochs=5, batch_size=64, seed=7))
-        reports.append(evaluate_dataset(model, e2e["test_index"], cfg))
-    reports.append(evaluate_dataset(e2e["model"], e2e["test_index"], cfg))
+        reports.append(evaluate_dataset(model, e2e["test_index"], SMALL_FEATURES, p=0.05))
+    reports.append(evaluate_dataset(e2e["model"], e2e["test_index"], SMALL_FEATURES, p=0.05))
     table = markdown_table(reports)
     lines = [l for l in table.splitlines() if l.startswith("| synthetic |")]
     headers = table.splitlines()[0]

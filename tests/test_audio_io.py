@@ -1,7 +1,11 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from aad import audio_io
@@ -9,6 +13,7 @@ from aad.audio_io import (
     AudioClip,
     SynthConfig,
     read_wav,
+    read_wav_header,
     resample,
     scan_dataset,
     split_index,
@@ -175,6 +180,52 @@ class TestWavFormat:
         np.testing.assert_allclose(read_wav(path).samples, np.full(8, 0.5))
 
 
+N_PROPERTY_SAMPLES = 24
+
+
+def wav_bytes(encoding):
+    """A small mono file of the encoding, and the length of its header."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.wav"
+        write_wav(path, np.linspace(-0.5, 0.5, N_PROPERTY_SAMPLES), 16000, encoding=encoding)
+        blob = path.read_bytes()
+    width = 4 if encoding == "float32" else 2
+    return blob, len(blob) - N_PROPERTY_SAMPLES * width
+
+
+WAV_FILES = {encoding: wav_bytes(encoding) for encoding in ("float32", "pcm16")}
+
+
+def damaged_wav(draw_from):
+    """A file of either encoding, cut at any byte or with one header byte changed."""
+    encoding = draw_from(st.sampled_from(sorted(WAV_FILES)))
+    blob, header = WAV_FILES[encoding]
+    if draw_from(st.booleans()):
+        return blob[:draw_from(st.integers(0, len(blob)))]
+    at = draw_from(st.integers(0, header - 1))
+    return blob[:at] + bytes([blob[at] ^ draw_from(st.integers(1, 255))]) + blob[at + 1:]
+
+
+class TestDamagedWavProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_loads_or_raises_format_error(self, data):
+        """A damaged file loads, and its header read agrees, or it is a FormatError
+        (UnsupportedFormatError included): never another exception."""
+        blob = damaged_wav(data.draw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.wav"
+            path.write_bytes(blob)
+            try:
+                clip = read_wav(path)
+            except FormatError:
+                return
+            header = read_wav_header(path)
+        assert clip.samples.dtype == np.float32 and clip.samples.ndim == 1
+        assert (header.n_samples, header.sample_rate) == (len(clip.samples),
+                                                          clip.sample_rate)
+
+
 class TestResample:
     def test_empty_clip_stays_empty(self):
         out = resample(AudioClip(np.zeros(0, np.float32), 16000), 8000)
@@ -208,6 +259,10 @@ class TestResample:
             resample(sine_clip, 0)
 
 
+def n_labeled(index, label):
+    return sum(e.label == label for e in index.entries)
+
+
 def _make_tree(root, spec):
     """spec: list of (machine_type, id, label_dir, filename)."""
     for mtype, mid, label_dir, name in spec:
@@ -232,7 +287,7 @@ class TestScanDataset:
         _make_tree(tmp_path, spec)
         idx = scan_dataset(tmp_path)
         assert len(idx) == 8
-        assert len(idx.with_label(audio_io.ANOMALY)) == 2
+        assert n_labeled(idx, audio_io.ANOMALY) == 2
 
     def test_abnormal_maps_to_anomaly(self, tmp_path):
         _make_tree(tmp_path, [("pump", 4, "abnormal", "a.wav")])
@@ -265,13 +320,13 @@ class TestSynthGenerate:
     def test_label_counts_exact(self, tmp_path):
         cfg = SynthConfig(n_normal=5, n_anomaly=3, duration_s=0.2, seed=1)
         idx = synth_generate(tmp_path, cfg)
-        assert len(idx.with_label(audio_io.NORMAL)) == 5
-        assert len(idx.with_label(audio_io.ANOMALY)) == 3
+        assert n_labeled(idx, audio_io.NORMAL) == 5
+        assert n_labeled(idx, audio_io.ANOMALY) == 3
 
     def test_no_anomalies_requested(self, tmp_path):
         cfg = SynthConfig(n_normal=2, n_anomaly=0, duration_s=0.2, seed=1)
         idx = synth_generate(tmp_path, cfg)
-        assert len(idx.with_label(audio_io.ANOMALY)) == 0
+        assert n_labeled(idx, audio_io.ANOMALY) == 0
 
     def test_normal_clip_harmonic_peaks(self, tmp_path):
         cfg = SynthConfig(n_normal=1, n_anomaly=0, duration_s=2.0, seed=5)
@@ -303,8 +358,8 @@ class TestSplitIndex:
         assert not train_paths & test_paths
         assert train_paths | test_paths == {e.path for e in idx.entries}
         assert all(e.label == audio_io.NORMAL for e in train.entries)
-        assert len(test.with_label(audio_io.ANOMALY)) == 5
-        assert len(test.with_label(audio_io.NORMAL)) == 4
+        assert n_labeled(test, audio_io.ANOMALY) == 5
+        assert n_labeled(test, audio_io.NORMAL) == 4
 
     def test_deterministic(self, tmp_path):
         cfg = SynthConfig(n_normal=10, n_anomaly=2, duration_s=0.2, seed=2)

@@ -1,5 +1,7 @@
+import csv
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -8,12 +10,13 @@ import select
 import shutil
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aad
@@ -533,6 +536,25 @@ class TestRejectedValues:
         assert rc == 1
         assert "p must be in (0, 1]" in one_line_error(capsys, "eval")
 
+    @pytest.mark.parametrize("cmd", ["train", "score", "eval", "embed"])
+    def test_negative_seed(self, workspace, tmp_path, capsys, cmd):
+        model = [] if cmd in ("train", "embed") else ["--model", str(workspace / "run" / "last.aadm")]
+        rc = main([cmd, "--root", str(workspace / "data"), "--out", str(tmp_path),
+                   "--seed", "-1", *model, *SMALL_FLAGS])
+        assert rc == 1
+        assert "seed must be >= 0, got -1" in one_line_error(capsys, cmd)
+
+    @pytest.mark.parametrize("flag,value", [("--window-frames", "0"), ("--window-frames", "-1"),
+                                            ("--tcn-channels", "0"), ("--tcn-channels", "-1")])
+    def test_tcn_size_below_one(self, workspace, tmp_path, capsys, flag, value):
+        # window_frames 0 trained to a checkpoint of NaN; the others were tracebacks
+        rc = main(["train", "--root", str(workspace / "data"), "--out", str(tmp_path),
+                   "--model", "tcn_cvae", "--epochs", "1", flag, value, *SMALL_FLAGS])
+        assert rc == 1
+        field = flag[2:].replace("-", "_")
+        assert f"{field} must be >= 1, got {value}" in one_line_error(capsys, "train")
+        assert not (tmp_path / "last.aadm").exists()
+
     def test_embed_max_clips_zero(self, workspace, tmp_path, capsys):
         rc = main(["embed", "--root", str(workspace / "data"), "--out", str(tmp_path),
                    "--max-clips", "0", *SMALL_FLAGS])
@@ -644,3 +666,98 @@ class TestProcessLevel:
         for argv in (["synth", "--help"], ["nonsense"], ["stream", "--help"]):
             main(argv)
         assert registered == [gc.freeze]
+
+
+# each numeric flag a command takes, with a typical value; the drawn values
+# are small, since a large size (say --duration-s 1e4) really allocates
+FEATURE_VALUES = {"--sample-rate": "16000", "--n-fft": "1024", "--hop": "512",
+                  "--n-mels": "16", "--context-frames": "1"}
+NUMERIC_FLAGS = {
+    "train": {**FEATURE_VALUES, "--seed": "7", "--test-fraction": "0.25",
+              "--window-frames": "8", "--latent-dim": "4", "--tcn-layers": "2",
+              "--tcn-channels": "4", "--epochs": "1", "--batch-size": "32",
+              "--lr": "0.001", "--validation-split": "0.25"},
+    "score": {**FEATURE_VALUES, "--seed": "7", "--test-fraction": "0.25", "--tau": None,
+              "--max-fpr": "0.1"},  # tau unset by default, so that max_fpr is read
+    "eval": {**FEATURE_VALUES, "--seed": "7", "--test-fraction": "0.5", "--p": "0.5"},
+    "embed": {**FEATURE_VALUES, "--seed": "7", "--dims": "2", "--perplexity": "3",
+              "--iterations": "20", "--max-clips": "12"},
+    "stream": {**FEATURE_VALUES, "--tau": "1.0", "--window-s": "0.5", "--hop-s": "0.25"},
+}
+EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e-12"]
+
+
+def finite_numbers(values):
+    return all(math.isfinite(float(v)) for v in values)
+
+
+def outputs_are_finite(cmd, out, stdout):
+    """Every number a command that exited 0 wrote is finite."""
+    if cmd == "train":
+        checkpoint_load(out / "last.aadm")  # a non-finite tensor is a FormatError
+        rows = list(csv.DictReader((out / "trainlog.csv").read_text().splitlines()))
+        return finite_numbers(v for r in rows for v in (r["train_loss"], r["val_loss"]) if v)
+    if cmd == "score":
+        rows = list(csv.DictReader((out / "scores.csv").read_text().splitlines()))
+        return rows and finite_numbers(r["score"] for r in rows)
+    if cmd == "eval":
+        report = json.loads((out / "report.json").read_text())
+        cells = [c for m in report["machines"] for c in [*m["ids"], m["avg"]]]
+        return finite_numbers(c[k] for c in cells for k in ("auc", "pauc") if c[k] is not None)
+    if cmd == "embed":
+        rows = list(csv.reader((out / "embed_features.csv").read_text().splitlines()))[1:]
+        return rows and finite_numbers(v for r in rows for v in r[:-1])
+    lines = [line.split(", ") for line in stdout.splitlines()]
+    return finite_numbers(line[1] for line in lines) and all(
+        line[2] in ("normal", "anomaly") for line in lines)
+
+
+class TestNumericFlagProperty:
+    """Every numeric flag of the dataset and model commands, drawn from edge values:
+    a right answer with finite outputs, a one-line error (exit 1) or a usage error
+    (exit 2), and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def stream_input(self, tmp_path_factory):
+        raw = tmp_path_factory.mktemp("prop") / "in.f32"
+        raw.write_bytes(np.random.default_rng(3).normal(0, 0.1, 16000).astype("<f4").tobytes())
+        return raw
+
+    @pytest.mark.parametrize("cmd", list(NUMERIC_FLAGS))
+    def test_flags_end_in_an_answer_or_one_line(self, workspace, stream_input, cmd):
+        flags = NUMERIC_FLAGS[cmd]
+        # up to two flags take edge values at once and the rest their typical
+        # values, so that answers (exit 0) are drawn too, not only errors
+        edges = st.dictionaries(st.sampled_from(list(flags)), st.sampled_from(EDGE_VALUES),
+                                max_size=2)
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(edges)
+        @example({})
+        def check(edge):
+            drawn = {**flags, **edge}
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "out"
+                argv = [cmd, *(f"{flag}={value}" for flag, value in drawn.items()
+                               if value is not None)]
+                if cmd == "stream":
+                    argv += ["--input", str(stream_input)]
+                else:
+                    argv += ["--root", str(workspace / "data"), "--out", str(out)]
+                if cmd == "train":
+                    argv += ["--model", "tcn_cvae"]
+                elif cmd == "score":
+                    argv += ["--partition", "test"]
+                if cmd in ("score", "eval", "stream"):
+                    argv += ["--model", str(workspace / "run" / "last.aadm")]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with redirect_stdout(stdout), redirect_stderr(stderr):
+                    rc = main(argv)
+                err = stderr.getvalue().splitlines()
+                assert rc in (0, 1, 2), (argv, rc)
+                if rc == 1:
+                    assert len(err) == 1 and err[0].startswith(f"aad {cmd}: "), (argv, err)
+                if rc == 0:
+                    assert outputs_are_finite(cmd, out, stdout.getvalue()), argv
+
+        check()

@@ -55,17 +55,15 @@ READERS = {
     "train.batch_size": (4, ("train",)),
     "train.lr": (0.01, ("train",)),
     "train.validation_split": (0.25, ("train",)),
-    "train.loss": ("vae", ("train",)),
     "embed.output_dims": (3, ("embed",)),
     "embed.perplexity": (2.5, ("embed",)),
     "embed.iterations": (20, ("embed",)),
-    "embed.learning_rate": (100.0, ("embed",)),
-    "embed.early_exaggeration": (4.0, ("embed",)),
-    "embed.exaggeration_iters": (5, ("embed",)),
-    "embed.momentum_start": (0.3, ("embed",)),
-    "embed.momentum_final": (0.9, ("embed",)),
-    "embed.momentum_switch_iter": (3, ("embed",)),
 }
+# keys that no longer exist (the loss follows the model kind, the t-SNE
+# schedule is fixed); each section is named after the command that read it
+REMOVED = ("train.loss", "embed.learning_rate", "embed.early_exaggeration",
+           "embed.exaggeration_iters", "embed.momentum_start", "embed.momentum_final",
+           "embed.momentum_switch_iter")
 # facts held by more than one config type, settable only at their home
 SHARED = {"model.seed", "model.n_mels", "model.context_frames", "train.seed", "embed.seed"}
 
@@ -81,8 +79,7 @@ BASE_BY_CMD = {
     "train": {**BASE, "train.epochs": 1},
     "score": BASE,
     "eval": {**BASE, "test_normal_fraction": 0.5},
-    "embed": {**BASE, "embed.perplexity": 3.0, "embed.iterations": 10,
-              "embed.momentum_switch_iter": 5},
+    "embed": {**BASE, "embed.perplexity": 3.0, "embed.iterations": 10},
     "stream": BASE,
 }
 EXTRA_ARGS = {
@@ -220,6 +217,25 @@ def test_wrong_type_is_one_line_error(world, tmp_path, key, bad):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"aad {cmd}: ")
     assert repr(key) in lines[0]
+
+
+@pytest.mark.parametrize("key", REMOVED)
+def test_removed_key_is_unknown(world, tmp_path, key):
+    """Whatever its value, of the type the key had or not, it is an unknown key."""
+    cmd = key.partition(".")[0]
+    flags, in_file = split_base(cmd, key)
+    for i, value in enumerate([1, 2.5, "0.5", True, ["a"]]):
+        rc, err = run(world, tmp_path / str(i), cmd, flags, {**in_file, key: value})
+        assert rc == 1
+        assert err.strip().splitlines() == [f"aad {cmd}: unknown config key {key!r}"]
+
+
+def test_removed_pauc_ceil_flag_is_usage_error(world, tmp_path, capsys):
+    rc = main(["eval", "--root", str(world / "data"), "--out", str(tmp_path / "out"),
+               "--model", str(world / "run" / "last.aadm"), "--pauc-ceil"])
+    assert rc == 2
+    assert "unrecognized arguments: --pauc-ceil" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key,home", [

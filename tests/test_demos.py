@@ -25,3 +25,12 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip()
+
+
+def test_readme_library_surface_imports():
+    """Every name the README's library surface lists is importable from ``aad``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library surface"):]
+    block = section[section.index("```python\n") + 10:section.index("```\n", 10)]
+    assert block.lstrip().startswith("from aad import (")
+    exec(compile(block, "README.md", "exec"), {})

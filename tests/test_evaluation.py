@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aad.audio_io import ANOMALY, NORMAL, DatasetIndex, SynthConfig, synth_generate
+from aad.audio_io import (ANOMALY, NORMAL, DatasetEntry, DatasetIndex, SynthConfig,
+                          synth_generate)
 from aad.errors import ConfigError, ContractError, DegenerateEvalError
 from aad.evaluation import (
-    EvalConfig,
     EvalReport,
     IdResult,
     MachineResult,
@@ -31,6 +31,10 @@ def records_from(normals, anomalies):
     recs += [ScoreRecord(f"a{i}.wav", float(s), ANOMALY, "fan", 0)
              for i, s in enumerate(anomalies)]
     return recs
+
+
+def labeled(index, label):
+    return [e for e in index.entries if e.label == label]
 
 
 def brute_force_pauc(normals, anomalies, p):
@@ -79,6 +83,16 @@ class TestRocAuc:
             got = roc_auc(records_from(neg, pos))
             want = brute_force_auc(list(neg), list(pos))
             assert abs(got - want) < 1e-12
+
+    def test_equals_the_pair_matrix_mean_bit_for_bit(self):
+        # the rank counts give the same float as the mean of the P x N matrix
+        # of H values, so reports do not change by a bit
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            pos = rng.integers(0, 4, int(rng.integers(1, 300))) * 0.1
+            neg = rng.integers(0, 4, int(rng.integers(1, 300))) * 0.1
+            h = (pos[None, :] > neg[:, None]) + 0.5 * (pos[None, :] == neg[:, None])
+            assert roc_auc(records_from(neg, pos)) == float(h.mean())
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(2)
@@ -146,13 +160,6 @@ class TestPauc:
             value = pauc(records_from(neg, pos), p=0.25)
             assert 0.0 <= value <= 1.0
 
-    def test_ceil_count_flag(self):
-        normals = list(range(1, 11))  # p=0.25: floor -> 2, ceil -> 3
-        anomalies = [20.0]
-        floor_val = pauc(records_from(normals, anomalies), p=0.25)
-        ceil_val = pauc(records_from(normals, anomalies), p=0.25, ceil_count=True)
-        assert floor_val == ceil_val == 1.0  # all anomalies above either slice
-
 
 @pytest.fixture(scope="module")
 def synth_index(tmp_path_factory):
@@ -161,21 +168,23 @@ def synth_index(tmp_path_factory):
                                             duration_s=0.2, seed=12))
 
 
-class TestEvaluateDataset:
+FEATURES = FeatureConfig(n_fft=1024, hop=512, n_mels=16, context_frames=1)
 
-    def _cfg(self):
-        features = FeatureConfig(n_fft=1024, hop=512, n_mels=16, context_frames=1)
-        return EvalConfig(features=features, p=0.25)
+
+class TestEvaluateDataset:
 
     @pytest.mark.parametrize("p", [0.0, -0.5, 1.01, math.nan])
     def test_p_outside_unit_interval_rejected(self, p):
+        # checked before a clip is read: this index names no file that exists
+        missing = DatasetIndex(root="/nonexistent", entries=[
+            DatasetEntry(machine_type="fan", machine_id=0, label=NORMAL, path="x.wav")])
         with pytest.raises(ConfigError, match="p must be in"):
-            EvalConfig(features=FeatureConfig(), p=p)
+            evaluate_dataset(None, missing, FeatureConfig(), p=p)
 
     def test_report_structure_and_averages(self, synth_index):
         model = build(default_spec("dense_ae", n_mels=16, context_frames=1,
                                    hidden=(8,), bottleneck=2))
-        report = evaluate_dataset(model, synth_index, self._cfg())
+        report = evaluate_dataset(model, synth_index, FEATURES, p=0.25)
         assert report.model == "dense_ae"
         assert report.p == 0.25
         machine = report.machines[0]
@@ -189,7 +198,7 @@ class TestEvaluateDataset:
         # null distribution of the AUC concentrates at 0.5
         model = build(default_spec("dense_ae", n_mels=16, context_frames=1,
                                    hidden=(8,), bottleneck=2))
-        clips = dataset_features(synth_index, self._cfg().features)
+        clips = dataset_features(synth_index, FEATURES)
         records = score_dataset(model, clips)
         rng = np.random.default_rng(99)
         labels = [r.label for r in records]
@@ -201,14 +210,11 @@ class TestEvaluateDataset:
     def test_pauc_degrades_independently_of_auc(self, synth_index):
         # 6 normals at p=0.05 select no hardest negatives: pauc becomes
         # None while auc still computes
-        entries = (synth_index.with_label(NORMAL)[:6]
-                   + synth_index.with_label("anomaly")[:8])
+        entries = (labeled(synth_index, NORMAL)[:6] + labeled(synth_index, ANOMALY)[:8])
         index = DatasetIndex(root=synth_index.root, entries=entries)
         model = build(default_spec("dense_ae", n_mels=16, context_frames=1,
                                    hidden=(8,), bottleneck=2))
-        cfg = self._cfg()
-        cfg.p = 0.05
-        report = evaluate_dataset(model, index, cfg)
+        report = evaluate_dataset(model, index, FEATURES, p=0.05)
         row = report.machines[0].ids[0]
         assert row.auc is not None
         assert row.pauc is None
@@ -220,11 +226,11 @@ class TestEvaluateDataset:
         # forge a second machine id holding only normal clips
         extra = [type(e)(machine_type=e.machine_type, machine_id=1,
                          label=e.label, path=e.path)
-                 for e in synth_index.with_label(NORMAL)[:5]]
+                 for e in labeled(synth_index, NORMAL)[:5]]
         index = DatasetIndex(root=synth_index.root, entries=entries + extra)
         model = build(default_spec("dense_ae", n_mels=16, context_frames=1,
                                    hidden=(8,), bottleneck=2))
-        report = evaluate_dataset(model, index, self._cfg())
+        report = evaluate_dataset(model, index, FEATURES, p=0.25)
         by_id = {i.machine_id: i for i in report.machines[0].ids}
         assert by_id[1].auc is None
         assert by_id[0].auc is not None

@@ -22,11 +22,11 @@ from aad.features import (
     mel_filterbank,
     mel_to_hz,
     save_features,
-    stack_frames,
     stft_power,
     stream_windows,
 )
 
+from conftest import stack_frames
 from test_audio_io import GUID_TAIL, fmt_body, riff
 
 SMALL = dict(n_fft=1024, hop=512, n_mels=64, context_frames=5)
@@ -174,6 +174,8 @@ class TestLogMel:
 
 
 class TestStackFrames:
+    """The context-row oracle that the dense_ae inputs are checked against."""
+
     def test_p1_identity(self):
         fm = FeatureMatrix(np.arange(12, dtype=np.float32).reshape(4, 3), 43.0)
         out = stack_frames(fm, 1)

@@ -65,6 +65,16 @@ class TestBuild:
             ModelSpec(kind="cae", n_mels=16, window_frames=12,
                       conv_channels=(8, 16, 32))  # 12 not divisible by 8
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("cae", "window_frames", 0),  # divisible by every stride
+        ("tcn_cvae", "tcn_channels", 0), ("tcn_cvae", "latent_dim", -1),
+        ("dense_ae", "hidden", (8, 0)), ("cvae", "conv_channels", (0,)),
+        ("dense_ae", "window_hop", 0),
+    ])
+    def test_size_below_one_rejected(self, kind, field, value):
+        with pytest.raises(SpecError, match=f"{field} must be >= 1"):
+            default_spec(kind, n_mels=16, **{field: value})
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(SpecError):
             ModelSpec(kind="transformer")

@@ -45,6 +45,16 @@ class TestAffinities:
             entropy = -np.sum(q * np.log(q))
             assert abs(entropy - np.log(perplexity)) < 1e-5
 
+    def test_far_apart_points_reach_the_perplexity(self):
+        # squared distances of 31000-42000, like those between clips at the
+        # default features: exp(-d * beta) went subnormal near the target
+        # bandwidth, the entropy jumped past log(2) and the bisection stalled
+        x = np.random.default_rng(14).standard_normal((12, 512)) * 6
+        cond = conditional_affinities(x, perplexity=2.0)
+        for row in cond:
+            q = row[row > 0]
+            assert abs(-np.sum(q * np.log(q)) - np.log(2.0)) < 1e-5
+
     def test_separated_pairs_within_affinity_dominates(self):
         x = np.array([[0.0, 0.0], [0.0, 0.4],
                       [100.0, 0.0], [100.0, 0.4]])

@@ -60,10 +60,17 @@ READERS = {
     "embed.iterations": (20, ("embed",)),
 }
 # keys that no longer exist (the loss follows the model kind, the t-SNE
-# schedule is fixed); each section is named after the command that read it
-REMOVED = ("train.loss", "embed.learning_rate", "embed.early_exaggeration",
-           "embed.exaggeration_iters", "embed.momentum_start", "embed.momentum_final",
-           "embed.momentum_switch_iter")
+# schedule is fixed) -> (a value they once took, the type they had); each
+# section is named after the command that read it
+REMOVED = {
+    "train.loss": ("vae", str),
+    "embed.learning_rate": (100.0, float),
+    "embed.early_exaggeration": (4.0, float),
+    "embed.exaggeration_iters": (5, int),
+    "embed.momentum_start": (0.3, float),
+    "embed.momentum_final": (0.9, float),
+    "embed.momentum_switch_iter": (3, int),
+}
 # facts held by more than one config type, settable only at their home
 SHARED = {"model.seed", "model.n_mels", "model.context_frames", "train.seed", "embed.seed"}
 
@@ -180,13 +187,23 @@ def run(world, tmp, cmd, by_flag, in_file):
     return rc, produced
 
 
+def unknown_key(cmd, key):
+    return f"aad {cmd}: unknown config key {key!r}"
+
+
 CASES = [(cmd, key) for key, (_, cmds) in READERS.items() for cmd in cmds]
+CASES += [(key.partition(".")[0], key) for key in REMOVED]
 
 
 @pytest.mark.parametrize("cmd,key", CASES, ids=[f"{c}-{k}" for c, k in CASES])
 def test_file_and_flag_set_the_same_value(world, tmp_path, cmd, key):
-    value = READERS[key][0]
     flags, in_file = split_base(cmd, key)
+    if key in REMOVED:  # sets nothing: no flag, and the file is refused
+        assert flag_of(cmd, key) is None
+        rc, err = run(world, tmp_path / "file", cmd, flags, {**in_file, key: REMOVED[key][0]})
+        assert (rc, err.strip().splitlines()) == (1, [unknown_key(cmd, key)])
+        return
+    value = READERS[key][0]
     default = run(world, tmp_path / "default", cmd, flags, in_file)
     by_file = run(world, tmp_path / "file", cmd, flags, {**in_file, key: value})
     assert by_file != default, f"{cmd} does not read {key}"
@@ -206,28 +223,20 @@ def wrong_values(hint):
 
 
 WRONG = [(key, bad) for key in sorted(READERS) for bad in wrong_values(hint_of(key))]
+WRONG += [(key, bad) for key in sorted(REMOVED) for bad in wrong_values(REMOVED[key][1])]
 
 
 @pytest.mark.parametrize("key,bad", WRONG, ids=[f"{k}={json.dumps(b)}" for k, b in WRONG])
 def test_wrong_type_is_one_line_error(world, tmp_path, key, bad):
-    cmd = READERS[key][1][0]
+    cmd = READERS[key][1][0] if key in READERS else key.partition(".")[0]
     flags, in_file = split_base(cmd, key)
     rc, err = run(world, tmp_path / "run", cmd, flags, {**in_file, key: bad})
     assert rc == 1
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"aad {cmd}: ")
     assert repr(key) in lines[0]
-
-
-@pytest.mark.parametrize("key", REMOVED)
-def test_removed_key_is_unknown(world, tmp_path, key):
-    """Whatever its value, of the type the key had or not, it is an unknown key."""
-    cmd = key.partition(".")[0]
-    flags, in_file = split_base(cmd, key)
-    for i, value in enumerate([1, 2.5, "0.5", True, ["a"]]):
-        rc, err = run(world, tmp_path / str(i), cmd, flags, {**in_file, key: value})
-        assert rc == 1
-        assert err.strip().splitlines() == [f"aad {cmd}: unknown config key {key!r}"]
+    if key in REMOVED:  # refused for the key, not for the value's type
+        assert lines == [unknown_key(cmd, key)]
 
 
 def test_removed_pauc_ceil_flag_is_usage_error(world, tmp_path, capsys):

@@ -9,6 +9,7 @@ with ``abnormal`` directories holding the anomaly-labeled recordings.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -321,11 +322,11 @@ def _anomaly_waveform(rng: np.random.Generator, n: int, sr: int) -> np.ndarray:
     x += rng.normal(0.0, _SYNTH_NOISE, n)
     if kind == "burst":
         span = max(1, int(0.15 * n))
-        start = int(rng.integers(0, n - span))
+        start = int(rng.integers(0, max(n - span, 1)))
         x[start:start + span] += rng.normal(0.0, 0.5, span)
     elif kind == "dropout":
         span = max(1, int(0.25 * n))
-        start = int(rng.integers(0, n - span))
+        start = int(rng.integers(0, max(n - span, 1)))
         x[start:start + span] *= 0.05
     return x
 
@@ -339,10 +340,14 @@ def synth_generate(root: str | Path, config: SynthConfig) -> DatasetIndex:
     """
     if config.n_normal < 0 or config.n_anomaly < 0:
         raise ContractError("clip counts must be non-negative")
-    if config.duration_s <= 0:
-        raise ContractError("duration_s must be positive")
+    if config.sample_rate < 1:
+        raise ContractError(f"sample_rate must be >= 1, got {config.sample_rate}")
+    samples = config.duration_s * config.sample_rate
+    if not (math.isfinite(samples) and round(samples) >= 1):
+        raise ContractError(f"duration_s must be finite and give at least one sample at "
+                            f"{config.sample_rate} Hz, got {config.duration_s!r}")
     root = Path(root)
-    n = int(round(config.duration_s * config.sample_rate))
+    n = round(samples)
     normal_dir = root / "synthetic" / "id_00" / "normal"
     abnormal_dir = root / "synthetic" / "id_00" / "abnormal"
     normal_dir.mkdir(parents=True, exist_ok=True)

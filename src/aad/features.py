@@ -13,6 +13,7 @@ filter supported even when the mel grid is finer than the FFT resolution
 from __future__ import annotations
 
 import json
+import math
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict
@@ -56,8 +57,10 @@ class FeatureConfig:
         p = self.context_frames
         if p < 1 or (p > 1 and p % 2 == 0):
             raise ConfigError("context_frames must be odd or 1")
-        if self.log_floor <= 0:
-            raise ConfigError("log_floor must be positive")
+        for name in ("log_floor", "mel_break_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
     def effective_fmax(self, sample_rate: int) -> float:
         fmax = self.fmax if self.fmax is not None else sample_rate / 2.0

@@ -9,6 +9,14 @@ non-causal; scoring always sees complete windows.
 Models carry feature mean/std buffers (set during training) and do all
 internal arithmetic in normalized space; ``reconstruct_features`` maps
 back so anomaly scores live in feature space.
+
+The variational kinds train on the reconstruction error plus the
+closed-form Gaussian KL, sampled through the reparameterization trick.
+``reparameterize`` and the two terms of ``vae_loss`` are each one tape
+node; the sample keeps only its noise and the loss terms keep no array of
+their own, since their backward passes recompute exp(log_var / 2),
+x - x_hat and exp(log_var). They give the values and gradients of the same
+objective composed of elementwise ``Tensor`` ops bit for bit.
 """
 
 from __future__ import annotations
@@ -106,6 +114,10 @@ class LatentDistribution:
     mu: Tensor
     log_var: Tensor
 
+    def __post_init__(self):
+        if self.log_var.shape != self.mu.shape:
+            raise ShapeError(f"log_var shape {self.log_var.shape} != mu shape {self.mu.shape}")
+
 
 class ForwardResult(NamedTuple):
     recon: Tensor
@@ -113,11 +125,32 @@ class ForwardResult(NamedTuple):
 
 
 def reparameterize(ld: LatentDistribution, noise: np.ndarray) -> Tensor:
-    """z = mu + exp(log_var / 2) * noise, differentiable in mu and log_var."""
-    if tuple(noise.shape) != ld.mu.shape:
-        raise ShapeError(f"noise shape {noise.shape} != mu shape {ld.mu.shape}")
-    sigma = (ld.log_var * 0.5).exp()
-    return ld.mu + sigma * Tensor(np.asarray(noise, dtype=ld.mu.dtype.type))
+    """z = mu + exp(log_var / 2) * noise, differentiable in mu and log_var.
+
+    One tape node that keeps only the noise (in mu's dtype): the backward
+    pass recomputes exp(log_var / 2). Values and gradients equal those of
+    the composed graph ``mu + (log_var * 0.5).exp() * noise`` bit for bit.
+    """
+    mu, lv = ld.mu, ld.log_var
+    if tuple(noise.shape) != mu.shape:
+        raise ShapeError(f"noise shape {noise.shape} != mu shape {mu.shape}")
+    noise = np.asarray(noise, dtype=mu.dtype.type)
+    z = np.exp(lv.data * 0.5)
+    z *= noise
+    z += mu.data
+    out = Tensor(z, requires_grad=mu.requires_grad or lv.requires_grad,
+                 op="reparameterize", _parents=(mu, lv))
+    if out.requires_grad:
+        def _bw(g):
+            if mu.requires_grad:
+                mu.accumulate_grad(g)
+            if lv.requires_grad:  # ((g * noise) * sigma) * 0.5, as the chain rule runs
+                g *= noise
+                g *= np.exp(lv.data * 0.5)
+                g *= 0.5
+                lv.accumulate_grad(g)
+        out._backward = _bw
+    return out
 
 
 class VaeLoss(NamedTuple):
@@ -132,18 +165,69 @@ def vae_loss(x: Tensor, x_hat: Tensor, ld: LatentDistribution | None) -> VaeLoss
     recon = 1/2 sum (x - x_hat)^2 and kl = -1/2 sum (1 + log_var - mu^2
     - sigma^2), each averaged over the batch (leading axis when 2-D+).
     With ld=None the KL term is zero (plain autoencoder loss).
+
+    Each term is one tape node that keeps no array of its own: the
+    backward passes recompute x - x_hat and exp(log_var). Values and
+    gradients equal those of the graph composed of elementwise ops bit for
+    bit, since each gradient term is formed by the same float operations
+    and added to its input's gradient in the same order.
     """
     if x.shape != x_hat.shape:
         raise ShapeError(f"vae_loss: shapes {x.shape} and {x_hat.shape} differ")
     batch = x.shape[0] if x.data.ndim > 1 else 1
-    diff = x - x_hat
-    recon = diff.sum_squares() * (0.5 / batch)
+    recon = _recon_loss(x, x_hat, batch)
     if ld is None:
         kl = Tensor(np.asarray(0.0, dtype=x.dtype))
     else:
-        inner = (ld.log_var + 1.0) - ld.mu * ld.mu - ld.log_var.exp()
-        kl = inner.sum() * (-0.5 / batch)
+        kl = _kl_loss(ld, batch)
     return VaeLoss(recon=recon, kl=kl, total=recon + kl)
+
+
+def _recon_loss(x: Tensor, x_hat: Tensor, batch: int) -> Tensor:
+    """1/2 sum (x - x_hat)^2 / batch as one node."""
+    diff = x.data - x_hat.data
+    scale = np.asarray(0.5 / batch, dtype=diff.dtype)
+    diff *= diff
+    out = Tensor(np.asarray(diff.sum()) * scale,
+                 requires_grad=x.requires_grad or x_hat.requires_grad,
+                 op="recon", _parents=(x, x_hat))
+    if out.requires_grad:
+        def _bw(g):
+            gd = x.data - x_hat.data
+            gd *= g * scale
+            gd *= 2
+            if x.requires_grad:
+                x.accumulate_grad(gd)
+            if x_hat.requires_grad:
+                np.negative(gd, out=gd)
+                x_hat.accumulate_grad(gd)
+        out._backward = _bw
+    return out
+
+
+def _kl_loss(ld: LatentDistribution, batch: int) -> Tensor:
+    """-1/2 sum (1 + log_var - mu^2 - exp(log_var)) / batch as one node."""
+    mu, lv = ld.mu, ld.log_var
+    inner = lv.data + 1.0
+    inner -= mu.data * mu.data
+    inner -= np.exp(lv.data)
+    scale = np.asarray(-0.5 / batch, dtype=inner.dtype)
+    out = Tensor(np.asarray(inner.sum()) * scale,
+                 requires_grad=mu.requires_grad or lv.requires_grad,
+                 op="kl", _parents=(mu, lv))
+    if out.requires_grad:
+        def _bw(g):
+            gi = g * scale  # the gradient of every element of the sum
+            if lv.requires_grad:
+                lv.accumulate_grad(gi)
+            if mu.requires_grad:
+                gm = -gi * mu.data
+                mu.accumulate_grad(gm)  # mu * mu: once per factor
+                mu.accumulate_grad(gm)
+            if lv.requires_grad:
+                lv.accumulate_grad(-gi * np.exp(lv.data))
+        out._backward = _bw
+    return out
 
 
 class ReceptiveField(NamedTuple):

@@ -12,7 +12,9 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
+from typing import get_origin
 
 import numpy as np
 import pytest
@@ -20,11 +22,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aad
-from aad.cli import _raw_chunk_reader, main
+from aad.annotations import field_hints, required_type
+from aad.cli import _HOMES, RunConfig, _raw_chunk_reader, main
 from aad.features import FeatureConfig, load_features, log_mel
-from aad.audio_io import AudioClip, write_wav
+from aad.audio_io import AudioClip, read_wav, write_wav
 from aad.errors import FormatError
-from aad.models import checkpoint_load
+from aad.models import MODEL_KINDS, checkpoint_load
 from aad.scoring import anomaly_score
 
 SMALL_FLAGS = ["--n-fft", "1024", "--hop", "512", "--n-mels", "16",
@@ -561,6 +564,32 @@ class TestRejectedValues:
         assert rc == 1
         assert "--max-clips" in one_line_error(capsys, "embed")
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "0.00001", "0"])
+    def test_synth_duration_without_a_sample(self, tmp_path, capsys, duration):
+        # nan and inf were a ValueError/OverflowError traceback; 0.00001 s wrote
+        # 0-sample WAVs that every later command rejected
+        rc = main(["synth", "--out", str(tmp_path), "--n-normal", "1", "--n-anomaly", "1",
+                   f"--duration-s={duration}"])
+        assert rc == 1
+        assert "duration_s must be finite and give at least one sample" in one_line_error(
+            capsys, "synth")
+        assert not list(tmp_path.rglob("*.wav"))
+
+    @pytest.mark.parametrize("text", ['{"features": {"log_floor": NaN}}',
+                                      '{"features": {"log_floor": Infinity}}',
+                                      '{"features": {"mel_break_hz": NaN}}',
+                                      '{"features": {"mel_break_hz": -700}}'])
+    def test_features_floor_and_mel_break_not_finite_positive(self, workspace, tmp_path,
+                                                             capsys, text):
+        # a NaN log_floor exited 0 with every AADF value NaN
+        (tmp_path / "cfg.json").write_text(text)
+        rc = main(["features", "--config", str(tmp_path / "cfg.json"),
+                   "--root", str(workspace / "data"), "--out", str(tmp_path / "out"),
+                   *SMALL_FLAGS])
+        assert rc == 1
+        assert "must be a finite number > 0" in one_line_error(capsys, "features")
+        assert not list(tmp_path.rglob("*.aadf"))
+
     def test_embed_leaves_numpy_ma_unloaded(self, workspace, tmp_path):
         # duplicate rows are found without np.unique(axis=0), which imports numpy.ma
         args = ["embed", "--root", workspace / "data", "--out", tmp_path,
@@ -673,6 +702,7 @@ class TestProcessLevel:
 FEATURE_VALUES = {"--sample-rate": "16000", "--n-fft": "1024", "--hop": "512",
                   "--n-mels": "16", "--context-frames": "1"}
 NUMERIC_FLAGS = {
+    "features": FEATURE_VALUES,
     "train": {**FEATURE_VALUES, "--seed": "7", "--test-fraction": "0.25",
               "--window-frames": "8", "--latent-dim": "4", "--tcn-layers": "2",
               "--tcn-channels": "4", "--epochs": "1", "--batch-size": "32",
@@ -693,6 +723,12 @@ def finite_numbers(values):
 
 def outputs_are_finite(cmd, out, stdout):
     """Every number a command that exited 0 wrote is finite."""
+    if cmd == "synth":  # and every clip has a sample
+        clips = [read_wav(p) for p in out.rglob("*.wav")]
+        return all(len(c.samples) and np.isfinite(c.samples).all() for c in clips)
+    if cmd == "features":
+        cached = list(out.rglob("*.aadf"))
+        return cached and all(np.isfinite(load_features(p).data).all() for p in cached)
     if cmd == "train":
         checkpoint_load(out / "last.aadm")  # a non-finite tensor is a FormatError
         rows = list(csv.DictReader((out / "trainlog.csv").read_text().splitlines()))
@@ -710,6 +746,22 @@ def outputs_are_finite(cmd, out, stdout):
     lines = [line.split(", ") for line in stdout.splitlines()]
     return finite_numbers(line[1] for line in lines) and all(
         line[2] in ("normal", "anomaly") for line in lines)
+
+
+def answer_or_one_line(cmd, argv, out, config=None):
+    """Run ``aad`` in-process and require exit 0 with finite outputs under
+    ``out``, exit 1 with one stderr line, or a usage error (exit 2). The
+    ``config`` file's contents, if any, are named on failure."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        rc = main(argv)
+    err = stderr.getvalue().splitlines()
+    assert rc in (0, 1, 2), (argv, config, rc)
+    if rc == 1:
+        assert len(err) == 1 and err[0].startswith(f"aad {cmd}: "), (argv, config, err)
+    if rc == 0:
+        assert outputs_are_finite(cmd, out, stdout.getvalue()), (argv, config)
+    return rc
 
 
 class TestNumericFlagProperty:
@@ -750,14 +802,106 @@ class TestNumericFlagProperty:
                     argv += ["--partition", "test"]
                 if cmd in ("score", "eval", "stream"):
                     argv += ["--model", str(workspace / "run" / "last.aadm")]
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with redirect_stdout(stdout), redirect_stderr(stderr):
-                    rc = main(argv)
-                err = stderr.getvalue().splitlines()
-                assert rc in (0, 1, 2), (argv, rc)
-                if rc == 1:
-                    assert len(err) == 1 and err[0].startswith(f"aad {cmd}: "), (argv, err)
-                if rc == 0:
-                    assert outputs_are_finite(cmd, out, stdout.getvalue()), argv
+                answer_or_one_line(cmd, argv, out)
 
         check()
+
+
+class TestSynthProperty:
+    """``aad synth`` over edge clip counts, rates and durations, drawn so that no
+    draw allocates for real: every clip asked for, each of at least one finite
+    sample, a one-line error (exit 1) or a usage error (exit 2)."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n_normal=st.sampled_from([-1, 0, 1, 2]), n_anomaly=st.sampled_from([-1, 0, 1, 2]),
+           rate=st.sampled_from([-1, 0, 1, 8000]),
+           duration=st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-12", "0.25"]))
+    @example(n_normal=1, n_anomaly=1, rate=8000, duration="nan")
+    @example(n_normal=1, n_anomaly=1, rate=8000, duration="1e-12")
+    @example(n_normal=2, n_anomaly=2, rate=8000, duration="0.25")
+    @example(n_normal=1, n_anomaly=2, rate=8000, duration="0.000125")  # one sample
+    def test_clips_with_samples_or_one_line(self, n_normal, n_anomaly, rate, duration):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["synth", "--out", tmp, f"--n-normal={n_normal}",
+                    f"--n-anomaly={n_anomaly}", f"--sample-rate={rate}",
+                    f"--duration-s={duration}"]
+            if answer_or_one_line("synth", argv, Path(tmp)) == 0:
+                assert len(list(Path(tmp).rglob("*.wav"))) == n_normal + n_anomaly, argv
+
+
+# each numeric config key with a typical value, by the command that draws it
+# through a config file; every command also gets the feature keys' values
+FEATURE_KEYS = {"sample_rate": 16000, "features.n_fft": 1024, "features.hop": 512,
+                "features.n_mels": 16, "features.context_frames": 1, "features.fmin": 0.0,
+                "features.fmax": 8000.0, "features.log_floor": 1e-10,
+                "features.mel_break_hz": 700.0}
+NUMERIC_KEYS = {
+    "features": FEATURE_KEYS,
+    "train": {"seed": 7, "test_normal_fraction": 0.25, "model.window_frames": 8,
+              "model.window_hop": 4, "model.hidden": [8], "model.bottleneck": 2,
+              "model.conv_channels": [4, 8], "model.latent_dim": 4, "model.tcn_layers": 2,
+              "model.kernel": 3, "model.tcn_channels": 4, "train.epochs": 1,
+              "train.batch_size": 32, "train.lr": 0.001, "train.validation_split": 0.25},
+    "embed": {"embed.output_dims": 2, "embed.perplexity": 3.0, "embed.iterations": 20},
+}
+CONFIG_EDGES = [0, -1, math.nan, math.inf, -math.inf, 1e-12]
+
+
+def numeric_config_keys():
+    """Every config key settable in a file whose field holds a number or numbers."""
+    keys = set()
+    for f in fields(RunConfig):
+        hint = field_hints(RunConfig)[f.name]
+        named = ({f.name: hint} if f.init else
+                 {f"{f.name}.{k}": v for k, v in field_hints(hint).items()})
+        for key, hint in named.items():
+            hint = required_type(hint)
+            if ((hint in (int, float) or get_origin(hint) is tuple)
+                    and _HOMES.get(key.rpartition(".")[2], key) == key):
+                keys.add(key)
+    return keys
+
+
+class TestNumericConfigKeyProperty:
+    """Every numeric key of a config file, drawn from edge values: a right answer
+    with finite outputs, a one-line error (exit 1) or a usage error (exit 2)."""
+
+    def test_every_numeric_key_is_drawn(self):
+        assert {k for keys in NUMERIC_KEYS.values() for k in keys} == numeric_config_keys()
+
+    @pytest.mark.parametrize("cmd", list(NUMERIC_KEYS))
+    def test_keys_end_in_an_answer_or_one_line(self, workspace, cmd):
+        typical = {**FEATURE_KEYS, **NUMERIC_KEYS[cmd]}
+        kinds = MODEL_KINDS if cmd == "train" else ("dense_ae",)
+
+        def run(edge, kind):
+            # the keys not in ``edge`` take their typical values; a tuple key
+            # takes its edge value as its one entry
+            drawn = {**typical, **{k: [v] if isinstance(typical[k], list) else v
+                                   for k, v in edge.items()}}
+            tree = {"model": {"kind": kind}} if cmd == "train" else {}
+            for key, value in drawn.items():
+                section, _, name = key.rpartition(".")
+                (tree.setdefault(section, {}) if section else tree)[name] = value
+            with tempfile.TemporaryDirectory() as tmp:
+                config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+                config.write_text(json.dumps(tree))
+                answer_or_one_line(cmd, [cmd, "--config", str(config), "--root",
+                                         str(workspace / "data"), "--out", str(out)], out,
+                                   config=config.read_text())
+
+        # every key alone at every edge value, the model kinds taken in turn ...
+        singles = [(key, value) for key in NUMERIC_KEYS[cmd] for value in CONFIG_EDGES]
+        for i, (key, value) in enumerate(singles):
+            run({key: value}, kinds[i % len(kinds)])
+
+        # ... then pairs of keys at edge values
+        @settings(max_examples=20, deadline=None, database=None)
+        @given(st.dictionaries(st.sampled_from(list(NUMERIC_KEYS[cmd])),
+                               st.sampled_from(CONFIG_EDGES), min_size=2, max_size=2),
+               st.sampled_from(kinds))
+        def pairs(edge, kind):
+            run(edge, kind)
+
+        run({}, kinds[-1])
+        pairs()

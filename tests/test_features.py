@@ -346,6 +346,14 @@ class TestFeatureConfigValidation:
         with pytest.raises(ConfigError):
             cfg.effective_fmax(22050)
 
+    @pytest.mark.parametrize("field", ["log_floor", "mel_break_hz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_floor_and_mel_break_must_be_finite_and_positive(self, field, value):
+        # a NaN log_floor wrote all-NaN features, and a NaN or negative
+        # mel_break_hz was reported as a mel filter with zero support
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number > 0"):
+            FeatureConfig(**{field: value})
+
 
 class TestFrameCountsFromHeaders:
     @settings(max_examples=60, deadline=None)

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aad.models
 from aad.errors import FormatError, ShapeError, SpecError, SpecMismatchError
 from aad.features import FeatureMatrix
 from aad.models import (
+    MODEL_KINDS,
     LatentDistribution,
     ModelSpec,
+    VaeLoss,
     build,
     checkpoint_load,
     checkpoint_save,
@@ -19,7 +22,7 @@ from aad.models import (
     reparameterize,
     vae_loss,
 )
-from aad.tensor import Tensor, backward, zero_grads
+from aad.tensor import Tensor, adam_step, backward, init_adam, zero_grads
 from conftest import assert_grads_close, finite_diff_grad
 
 
@@ -192,6 +195,106 @@ class TestVaeLoss:
         x_hat = Tensor(np.array([[2.0], [4.0]]))
         result = vae_loss(x, x_hat, None)
         assert result.recon.data == pytest.approx((2.0 + 8.0) / 2)
+
+
+def reparameterize_reference(ld, noise):
+    """The composed graph of the reparameterization, kept as the bit-level oracle."""
+    sigma = (ld.log_var * 0.5).exp()
+    return ld.mu + sigma * Tensor(np.asarray(noise, dtype=ld.mu.dtype.type))
+
+
+def vae_loss_reference(x, x_hat, ld):
+    """The VAE objective composed of elementwise ops, kept as the bit-level oracle."""
+    batch = x.shape[0] if x.data.ndim > 1 else 1
+    recon = (x - x_hat).sum_squares() * (0.5 / batch)
+    if ld is None:
+        kl = Tensor(np.asarray(0.0, dtype=x.dtype))
+    else:
+        inner = (ld.log_var + 1.0) - ld.mu * ld.mu - ld.log_var.exp()
+        kl = inner.sum() * (-0.5 / batch)
+    return VaeLoss(recon=recon, kl=kl, total=recon + kl)
+
+
+def loss_bytes(loss):
+    return [t.data.tobytes() for t in loss]
+
+
+def grad_bytes(tensors):
+    return [None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
+class TestFusedLossMatchesComposedGraph:
+    """``vae_loss`` and ``reparameterize`` are single tape nodes; their values
+    and gradients equal the composed graph's byte for byte."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_five_adam_steps_byte_identical(self, kind, monkeypatch):
+        spec = default_spec(kind, n_mels=16, window_frames=16, seed=3)
+        batch = np.random.default_rng(2).standard_normal(
+            (12, 80) if kind == "dense_ae" else (12, 16, 16)).astype(np.float32)
+
+        def run(loss_fn, reparam_fn):
+            model = build(spec)
+            state, rng, trace = init_adam(model.params), np.random.default_rng(5), []
+            with monkeypatch.context() as m:
+                m.setattr(aad.models, "reparameterize", reparam_fn)
+                for _ in range(5):
+                    x = Tensor(batch)
+                    out = model.forward(x, rng=rng)
+                    loss = loss_fn(x, out.recon, out.latent)
+                    backward(loss.total)
+                    trace += [*loss_bytes(loss), *grad_bytes(model.params)]
+                    adam_step(model.params, state)
+                    zero_grads(model.params)
+                    trace += [p.data.tobytes() for p in model.params]
+            return trace
+
+        fused = run(vae_loss, reparameterize)
+        assert fused == run(vae_loss_reference, reparameterize_reference)
+
+    @pytest.mark.parametrize("case", ["latent", "ld=None", "1-D", "x is x_hat",
+                                      "x requires grad"])
+    def test_cases_byte_identical(self, case):
+        def run(loss_fn, reparam_fn):
+            rng = np.random.default_rng(4)
+            shape = (6,) if case == "1-D" else (3, 4)
+            xd, mud, lvd = (rng.normal(size=shape).astype(np.float32) for _ in range(3))
+            x = Tensor(xd, requires_grad=case in ("x is x_hat", "x requires grad"))
+            ld = LatentDistribution(Tensor(mud, requires_grad=True),
+                                    Tensor(lvd, requires_grad=True))
+            x_hat = x if case == "x is x_hat" else reparam_fn(ld, rng.standard_normal(shape))
+            loss = loss_fn(x, x_hat, None if case == "ld=None" else ld)
+            backward(loss.total)
+            return loss_bytes(loss) + grad_bytes([x, ld.mu, ld.log_var])
+
+        assert run(vae_loss, reparameterize) == run(vae_loss_reference,
+                                                     reparameterize_reference)
+
+    def test_loss_keeps_four_tape_nodes(self):
+        """The objective puts recon, kl, their sum and the sample z on the tape,
+        where the composed graph puts 15 nodes."""
+        rng = np.random.default_rng(6)
+        x, mu, lv = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3))
+        ld = LatentDistribution(mu, lv)
+        noise = rng.standard_normal((3, 4))
+
+        def tape_ops(total):
+            tape, stack = {}, [total]
+            while stack:
+                node = stack.pop()
+                if node._parents and id(node) not in tape:
+                    tape[id(node)] = node
+                    stack.extend(node._parents)
+            return sorted(n.op for n in tape.values())
+
+        assert tape_ops(vae_loss(x, reparameterize(ld, noise), ld).total) == [
+            "add", "kl", "recon", "reparameterize"]
+        assert len(tape_ops(vae_loss_reference(
+            x, reparameterize_reference(ld, noise), ld).total)) == 15
+
+    def test_latent_shapes_that_differ_are_rejected(self):
+        with pytest.raises(ShapeError, match="log_var shape"):
+            LatentDistribution(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
 
 class TestReceptiveField:

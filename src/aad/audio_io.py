@@ -230,9 +230,10 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
 
 def scan_dataset(root: str | Path) -> DatasetIndex:
-    """Scan a MIMII-layout tree into a deterministic, lexicographic index."""
+    """Scan a MIMII-layout tree into a deterministic, lexicographic index; two ID
+    directories that name one ID, such as ``id_0`` and ``id_00``, are a ContractError."""
     root = Path(root)
-    entries = []
+    entries, id_dirs = [], {}  # id_dirs: (machine type, ID) -> its first directory
     for wav in sorted(root.glob("*/id_*/*/*.wav")):
         label_dir = wav.parent.name
         if label_dir == "normal":
@@ -247,6 +248,10 @@ def scan_dataset(root: str | Path) -> DatasetIndex:
         except (IndexError, ValueError):
             continue
         machine_type = wav.parent.parent.parent.name
+        id_path = wav.relative_to(root).parent.parent
+        first = id_dirs.setdefault((machine_type, machine_id), id_path)
+        if first != id_path:
+            raise ContractError(f"{first} and {id_path} both name {machine_type} id {machine_id}")
         entries.append(DatasetEntry(
             machine_type=machine_type,
             machine_id=machine_id,

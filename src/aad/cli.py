@@ -1,23 +1,25 @@
 """Command-line pipeline: synth, features, train, score, eval, embed, stream.
 
 Every command resolves its settings in one step, ``resolve``: built-in
-defaults, then a JSON config file (--config, or the AAD_CONFIG environment
-variable), then explicit flags; a later layer wins. The file holds the
-top-level keys of ``RunConfig`` and the sections ``features``, ``model``,
-``train`` and ``embed``, whose keys are the fields of FeatureConfig,
-ModelSpec, TrainConfig and EmbedConfig. Each fact has one home: ``seed`` is
-top-level, and ``n_mels`` and ``context_frames`` live in ``features``; the
-resolver copies them into the model spec and the train and embed configs,
-and rejects them inside any other section. A value must fit its field's
-annotation, by the one rule of ``aad.annotations`` that checkpoint headers
-also follow: an int field takes an integer that is not a bool, a float field
-an integer or a float, an ``X | None`` field also null, a tuple field a
-JSON list. Every command honours ``sample_rate``: the dataset commands
-resample each clip to it (unset: native rates), and synth writes and
-stream reads at it (unset: ``DEFAULT_RATE``). Before it dispatches, ``main``
-fixes glibc malloc's thresholds for the process (``heap.keep_freed_memory``).
-Exit codes: 0 success, 1 pipeline error (one ``aad <cmd>: ...`` line on
-stderr), 2 usage error.
+defaults, then the features and sample rate of the checkpoint it loads, then
+a JSON config file (--config, or the AAD_CONFIG environment variable), then
+flags; a later layer wins, but one unlike the checkpoint's is a
+SpecMismatchError. The file holds the top-level keys of ``RunConfig`` and
+the sections ``features``, ``model``, ``train`` and ``embed``, whose keys
+are the fields of FeatureConfig, ModelSpec, TrainConfig and EmbedConfig.
+Each fact has one home: ``seed`` is top-level, and ``n_mels`` and
+``context_frames`` live in ``features``; the resolver copies them into the
+model spec and the train and embed configs, and rejects them inside any
+other section. A value must fit its field's annotation, by the one rule of
+``aad.annotations`` that checkpoint headers also follow: an int field takes
+an integer that is not a bool, a float field an integer or a float, an
+``X | None`` field also null, a tuple field a JSON list. Every command
+honours ``sample_rate``: the dataset commands resample each clip to it
+(unset: native rates), synth writes and stream read at it (unset:
+``DEFAULT_RATE``), and train records it (unset: the rate its clips share).
+``main`` first fixes glibc malloc's thresholds for the process
+(``heap.keep_freed_memory``). Exit codes: 0 success, 1 pipeline error (one
+``aad <cmd>: ...`` line on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from typing import Iterator
@@ -40,12 +42,12 @@ import numpy as np
 from .annotations import conform, field_hints, required_type
 from .audio_io import (NORMAL, DatasetIndex, SynthConfig, scan_dataset, split_index,
                        synth_generate)
-from .errors import AadError, ConfigError, ContractError, FormatError
+from .errors import AadError, ConfigError, ContractError, FormatError, SpecMismatchError
 from .evaluation import emit_report, evaluate_dataset
 from .features import (FeatureConfig, clip_named, dataset_features, dataset_frame_counts,
                        frame_count, save_features, stream_windows)
 from .heap import keep_freed_memory
-from .models import MODEL_KINDS, ModelSpec, build, checkpoint_load, default_spec
+from .models import MODEL_KINDS, Model, ModelSpec, build, checkpoint_load, default_spec
 from .scoring import (
     anomaly_score,
     decide,
@@ -106,10 +108,10 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _flag_layer(args) -> dict:
-    """The flags given, as a config tree: dest ``a.b`` is key ``b`` of section ``a``."""
+def _layer(values: dict) -> dict:
+    """The config values set, as a tree: key ``a.b`` is key ``b`` of section ``a``."""
     layer: dict = {}
-    for dest, value in vars(args).items():
+    for dest, value in values.items():
         section, _, key = dest.rpartition(".")
         if value is None or not (section or dest in CONFIG_KEYS):
             continue
@@ -139,14 +141,26 @@ def _merge(layers: list[dict], hints: dict, prefix: str = "") -> dict:
     return merged
 
 
-def resolve(args) -> RunConfig:
-    """One command's settings: defaults < config file < flags, each value type-checked."""
+def _contract(held) -> dict:  # the sample rate and features of a run or a model
+    return {"sample_rate": held.sample_rate,
+            **{f"features.{k}": v for k, v in asdict(held.features).items()}}
+
+
+def resolve(args, model: Model | None = None) -> RunConfig:
+    """One command's settings: defaults < the features and sample rate ``model``
+    was trained with < config file < flags, each value type-checked."""
     hints = field_hints(RunConfig)
-    merged = _merge([_load_config_file(args.config), _flag_layer(args)], hints)
+    trained = _contract(model) if getattr(model, "features", None) else {}
+    merged = _merge([_layer(trained), _load_config_file(args.config), _layer(vars(args))], hints)
     section = {f.name: _merge(merged.pop(f.name, []), field_hints(hints[f.name]), f"{f.name}.")
                for f in fields(RunConfig) if not f.init}
     run = RunConfig(**merged)
     run.features = FeatureConfig(**section["features"])
+    given = _contract(run)
+    for key, value in trained.items():
+        if given[key] != value:
+            raise SpecMismatchError(f"{args.checkpoint} was trained with {key}={value!r}; "
+                                    f"given {given[key]!r}")
     seed = {"seed": run.seed}
     run.model = default_spec(**{"kind": "dense_ae", **section["model"], **seed,
                                 "n_mels": run.features.n_mels,
@@ -191,8 +205,9 @@ def cmd_train(args) -> int:
     index = scan_dataset(run.dataset_root)
     train_index, _ = split_index(index, run.test_normal_fraction, run.seed)
     model = build(run.model)
-    counts = dataset_frame_counts(train_index, run.features, target_rate=run.sample_rate)
-    clips = dataset_features(train_index, run.features, target_rate=run.sample_rate)
+    model.features = run.features
+    counts, model.sample_rate = dataset_frame_counts(train_index, run.features, run.sample_rate)
+    clips = dataset_features(train_index, run.features, target_rate=model.sample_rate)
     model, log = train(model, clips, run.train, checkpoint_dir=run.output_dir,
                        frame_counts=counts)
     write_trainlog_csv(log, run.output_dir / "trainlog.csv")
@@ -208,9 +223,9 @@ def _require_finite(flag: str, value: float | None) -> None:
 
 
 def cmd_score(args) -> int:
-    run = resolve(args)
-    _require_finite("--tau", args.tau)
     model = checkpoint_load(args.checkpoint)
+    run = resolve(args, model)
+    _require_finite("--tau", args.tau)
     index = scan_dataset(run.dataset_root)
     if args.partition != "all":
         train_index, test_index = split_index(index, run.test_normal_fraction, run.seed)
@@ -229,8 +244,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    run = resolve(args)
     model = checkpoint_load(args.checkpoint)
+    run = resolve(args, model)
     index = scan_dataset(run.dataset_root)
     _, test_index = split_index(index, run.test_normal_fraction, run.seed)
     report = evaluate_dataset(model, test_index, run.features, args.p, run.sample_rate)
@@ -251,16 +266,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    run = resolve(args)
-    if args.max_clips is not None and args.max_clips < 1:
-        raise ConfigError(f"--max-clips must be >= 1, got {args.max_clips}")
     if args.space == "latent" and args.checkpoint is None:
         raise ContractError("--space latent needs --model")
+    model = checkpoint_load(args.checkpoint) if args.space == "latent" else None
+    run = resolve(args, model)
+    if args.max_clips is not None and args.max_clips < 1:
+        raise ConfigError(f"--max-clips must be >= 1, got {args.max_clips}")
     index = scan_dataset(run.dataset_root)
     if args.max_clips is not None and len(index) > args.max_clips:
         keep = np.random.default_rng([run.seed, 3]).permutation(len(index))[:args.max_clips]
         index = DatasetIndex(root=index.root, entries=[index.entries[i] for i in sorted(keep)])
-    model = checkpoint_load(args.checkpoint) if args.space == "latent" else None
     labels, vectors = [], []
     for c in dataset_features(index, run.features, target_rate=run.sample_rate):
         labels.append(c.label)
@@ -305,12 +320,12 @@ def _stamp_reads(chunks: Iterator[np.ndarray], read_at: list[float]) -> Iterator
 
 
 def cmd_stream(args) -> int:
-    run = resolve(args)
+    model = checkpoint_load(args.checkpoint)
+    run = resolve(args, model)
     sample_rate = run.sample_rate or DEFAULT_RATE
     for flag, value in (("--tau", args.tau), ("--window-s", args.window_s),
                         ("--hop-s", args.hop_s)):
         _require_finite(flag, value)
-    model = checkpoint_load(args.checkpoint)
     frames = frame_count(int(round(args.window_s * sample_rate)), run.features)
     if frames < model.input_frames:
         raise ConfigError(f"a {args.window_s} s window gives {frames} frames at hop "

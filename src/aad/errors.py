@@ -30,7 +30,7 @@ class SpecError(AadError):
 
 
 class SpecMismatchError(AadError):
-    """A checkpoint does not match the expected model spec."""
+    """A setting differs from the feature contract a checkpoint was trained with."""
 
 
 class ConfigError(AadError):

@@ -50,6 +50,8 @@ class FeatureConfig:
     slaney_norm: bool = False
 
     def __post_init__(self):
+        if self.n_fft < 1:
+            raise ConfigError(f"n_fft must be >= 1, got {self.n_fft}")
         if self.hop < 1 or self.hop > self.n_fft:
             raise ConfigError(f"hop must be in [1, n_fft], got {self.hop}")
         if self.n_mels < 1:
@@ -334,18 +336,24 @@ def dataset_features(index: DatasetIndex, config: FeatureConfig,
 
 
 def dataset_frame_counts(index: DatasetIndex, config: FeatureConfig,
-                         target_rate: int | None = None) -> list[int]:
-    """The frames ``dataset_features`` makes of each entry, from the WAV headers alone.
-
-    Raises TooShortError naming the first clip shorter than one FFT frame.
+                         target_rate: int | None = None) -> tuple[list[int], int | None]:
+    """The frames ``dataset_features`` makes of each entry, from the WAV headers alone,
+    and the rate it extracts them at: ``target_rate``, or else the one rate every
+    clip must share. ConfigError names two clips at different rates, TooShortError
+    the first clip shorter than one FFT frame.
     """
-    counts = []
+    counts, rate, first = [], target_rate, None
     for entry in index.entries:
         header = read_wav_header(index.full_path(entry))
+        if rate is None:
+            rate, first = header.sample_rate, entry.path
+        elif target_rate is None and header.sample_rate != rate:
+            raise ConfigError(f"{first} is at {rate} Hz and {entry.path} at "
+                              f"{header.sample_rate} Hz: set one sample_rate")
         n = header.n_samples
-        if target_rate is not None and header.sample_rate != target_rate:
-            n = resampled_length(n, header.sample_rate, target_rate)
+        if header.sample_rate != rate:
+            n = resampled_length(n, header.sample_rate, rate)
         if n < config.n_fft:
             raise TooShortError(f"{entry.path}: clip has {n} samples, need >= {config.n_fft}")
         counts.append(frame_count(n, config))
-    return counts
+    return counts, rate

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -32,12 +33,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .annotations import conform, field_hints
-from .errors import FormatError, ShapeError, SpecError, SpecMismatchError, TooShortError
-from .features import FeatureMatrix
+from .errors import ConfigError, ContractError, FormatError, ShapeError, SpecError, TooShortError
+from .features import FeatureConfig, FeatureMatrix
 from .tensor import Tensor, backward, conv1d_causal, dense, downsample, upsample
 
 CHECKPOINT_MAGIC = b"AADM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 files, without features, sample_rate or CRC, still load
 
 MODEL_KINDS = ("dense_ae", "cae", "cvae", "tcn_cvae")
 
@@ -278,6 +279,8 @@ class Model:
 
     def __init__(self, spec: ModelSpec, stored: Callable[[tuple], np.ndarray] | None = None):
         self.spec = spec
+        self.features: FeatureConfig | None = None  # what it is trained on, set by its
+        self.sample_rate: int | None = None  # trainer; a v1 checkpoint leaves both None
         self.params: list[Tensor] = []
         self.param_names: list[str] = []
         self._stored = stored
@@ -597,74 +600,82 @@ def build(spec: ModelSpec, stored: Callable[[tuple], np.ndarray] | None = None) 
 # -- checkpoint serialization --
 
 
-def _write_tensor(fh, arr: np.ndarray) -> None:
-    fh.write(struct.pack("<I", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_tensor(buf: bytes, off: int, path) -> tuple[np.ndarray, int]:
-    if off + 4 > len(buf):
-        raise FormatError(f"{path}: truncated tensor header")
-    ndim, = struct.unpack_from("<I", buf, off)
-    off += 4
-    if ndim > 8 or off + 4 * ndim > len(buf):
-        raise FormatError(f"{path}: bad tensor header")
-    shape = struct.unpack_from(f"<{ndim}I", buf, off)
-    off += 4 * ndim
-    count = math.prod(shape)
-    end = off + 4 * count
-    if end > len(buf):
-        raise FormatError(f"{path}: truncated tensor data")
-    arr = np.frombuffer(buf[off:end], dtype="<f4").reshape(shape).copy()
-    return arr, end
+def _read_tensor(buf: memoryview, off: int, path) -> tuple[np.ndarray, int]:
+    try:
+        ndim, = struct.unpack_from("<I", buf, off)
+        if ndim > 8:
+            raise ValueError
+        shape = struct.unpack_from(f"<{ndim}I", buf, off + 4)
+        off += 4 + 4 * ndim
+        arr = np.frombuffer(buf, "<f4", math.prod(shape), off).reshape(shape).copy()
+    except (struct.error, ValueError, OverflowError):  # a count past the end of the file
+        raise FormatError(f"{path}: truncated or bad tensor at byte {off}") from None
+    return arr, off + 4 * arr.size
 
 
 def checkpoint_save(model: Model, path: str | Path) -> None:
-    """Serialize spec echo plus parameter tensors (float32, exact)."""
-    blob = json.dumps({"spec": asdict(model.spec)}, sort_keys=True).encode("utf-8")
+    """Serialize the spec and feature contract, the parameter tensors (float32,
+    exact), and a CRC32 of every byte before it."""
+    if model.features is None or model.sample_rate is None:
+        raise ContractError("the model has no feature contract (features, sample_rate) to save")
+    blob = json.dumps({"spec": asdict(model.spec), "features": asdict(model.features),
+                       "sample_rate": model.sample_rate}, sort_keys=True).encode("utf-8")
+    arrays = [*(p.data for p in model.params),
+              *((model.feature_mean, model.feature_std) if model.spec.normalize else ())]
+    head = CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(blob)) + blob
+    crc = zlib.crc32(head)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for p in model.params:
-            _write_tensor(fh, p.data)
-        if model.spec.normalize:
-            _write_tensor(fh, model.feature_mean)
-            _write_tensor(fh, model.feature_std)
+        fh.write(head)
+        for arr in arrays:
+            for part in (struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape),
+                         np.ascontiguousarray(arr, dtype="<f4").tobytes()):
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
 
-def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) -> Model:
+def _contract(header: dict, spec: ModelSpec) -> tuple[FeatureConfig, int]:
+    """The features and sample rate a version 2 header holds, checked against its spec."""
+    hints = field_hints(FeatureConfig)
+    features = FeatureConfig(**{k: conform(v, hints[k]) for k, v in header["features"].items()})
+    rate = header["sample_rate"]
+    if type(rate) is not int or rate < 1:
+        raise TypeError(f"sample_rate must be an integer >= 1, got {rate!r}")
+    held, built = (features.n_mels, features.context_frames), (spec.n_mels, spec.context_frames)
+    if held != built:
+        raise SpecError(f"features give (n_mels, context_frames) {held}, the spec {built}")
+    return features, rate
+
+
+def checkpoint_load(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint; bit-identical parameters.
 
-    The model is built from the stored tensors, with no random init.
-    A malformed file, a shape unlike the spec's and a non-finite value
-    are FormatError. With ``expected_spec`` given, a differing stored
-    spec raises SpecMismatchError instead of silently returning another
-    architecture.
+    The model is built from the stored tensors, with no random init. A
+    version 2 file also gives the model its ``features`` and ``sample_rate``;
+    a version 1 file leaves them None. A CRC32 that does not match, a
+    malformed file, features unlike the spec, a shape unlike the spec's and
+    a non-finite value are FormatError.
     """
     with open(path, "rb") as fh:
-        buf = fh.read()
+        buf = memoryview(fh.read())
     if len(buf) < 12 or buf[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a model checkpoint")
-    version, = struct.unpack_from("<I", buf, 4)
-    if version != CHECKPOINT_VERSION:
+    version, hlen = struct.unpack_from("<2I", buf, 4)
+    if version == 2:
+        if len(buf) < 16 or zlib.crc32(buf[:-4]) != struct.unpack_from("<I", buf, len(buf) - 4)[0]:
+            raise FormatError(f"{path}: CRC32 mismatch: the file is damaged")
+        buf = buf[:-4]
+    elif version != 1:
         raise FormatError(f"{path}: unsupported version {version}")
-    hlen, = struct.unpack_from("<I", buf, 8)
     if len(buf) < 12 + hlen:
         raise FormatError(f"{path}: truncated header")
     try:
-        header = json.loads(buf[12:12 + hlen].decode("utf-8"))
+        header = json.loads(str(buf[12:12 + hlen], "utf-8"))
         spec = ModelSpec(**header["spec"])
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
-            SpecError) as exc:
-        raise FormatError(f"{path}: bad spec header: {exc}") from exc
-    if expected_spec is not None and asdict(spec) != asdict(expected_spec):
-        raise SpecMismatchError(
-            f"{path}: checkpoint holds kind={spec.kind!r}, "
-            f"expected kind={expected_spec.kind!r} spec"
-        )
+        features, rate = _contract(header, spec) if version == 2 else (None, None)
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, AttributeError,
+            SpecError, ConfigError) as exc:
+        raise FormatError(f"{path}: bad header: {exc}") from exc
     off = 12 + hlen
 
     def stored(shape: tuple) -> np.ndarray:
@@ -682,4 +693,5 @@ def checkpoint_load(path: str | Path, expected_spec: ModelSpec | None = None) ->
         model.feature_mean, model.feature_std = stored(dims), stored(dims)
     if off != len(buf):
         raise FormatError(f"{path}: trailing bytes after tensors")
+    model.features, model.sample_rate = features, rate
     return model

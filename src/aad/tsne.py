@@ -43,8 +43,8 @@ class EmbedConfig:
     def __post_init__(self):
         if not 1 <= self.output_dims <= 3:
             raise ConfigError("output_dims must be 1, 2, or 3")
-        if self.perplexity <= 1:
-            raise ConfigError("perplexity must be > 1")
+        if not 1 < self.perplexity < float("inf"):
+            raise ConfigError(f"perplexity must be a finite number > 1, got {self.perplexity!r}")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
 

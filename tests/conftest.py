@@ -1,9 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from aad.audio_io import AudioClip
 from aad.errors import ContractError, TooShortError
-from aad.features import FeatureMatrix
+from aad.features import FeatureConfig, FeatureMatrix
 
 
 @pytest.fixture
@@ -13,6 +16,25 @@ def sine_clip():
     t = np.arange(sr) / sr
     x = 0.5 * np.sin(2 * np.pi * 1000.0 * t)
     return AudioClip(samples=x.astype(np.float32), sample_rate=sr)
+
+
+def with_contract(model, sample_rate=16000):
+    """The model, given the feature contract a checkpoint records: default
+    features at the spec's ``n_mels`` and ``context_frames``."""
+    model.features = FeatureConfig(n_mels=model.spec.n_mels,
+                                   context_frames=model.spec.context_frames)
+    model.sample_rate = sample_rate
+    return model
+
+
+def write_version_1(path):
+    """Rewrite a checkpoint in the version 1 layout: the spec alone in the
+    header, and no CRC32 trailer."""
+    raw = path.read_bytes()
+    hlen, = struct.unpack_from("<I", raw, 8)
+    header = {"spec": json.loads(raw[12:12 + hlen])["spec"]}
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(b"AADM" + struct.pack("<2I", 1, len(blob)) + blob + raw[12 + hlen:-4])
 
 
 def dominant_freq_hz(samples, sample_rate):

@@ -58,6 +58,7 @@ def e2e(tmp_path_factory):
     model, log = train(model, train_clips,
                        TrainConfig(epochs=20, batch_size=64, seed=7,
                                    validation_split=0.1))
+    model.features, model.sample_rate = SMALL_FEATURES, 16000
     records = score_dataset(model, test_clips)
     elapsed = time.perf_counter() - t0
     return {

@@ -298,6 +298,18 @@ class TestScanDataset:
         with pytest.raises(DatasetEmptyError):
             scan_dataset(tmp_path)
 
+    @pytest.mark.parametrize("other", ["id_0", "id_+0", "id_0_0"])
+    def test_two_directories_naming_one_id_are_rejected(self, tmp_path, other):
+        # both folders' clips were merged into one row for id 0
+        _make_tree(tmp_path, [("fan", 0, "normal", "a.wav")])
+        d = tmp_path / "fan" / other / "normal"
+        d.mkdir(parents=True)
+        wavfile.write(str(d / "b.wav"), 16000, np.zeros(16, dtype=np.int16))
+        with pytest.raises(ContractError) as info:
+            scan_dataset(tmp_path)
+        assert str(info.value) in (f"fan/id_00 and fan/{other} both name fan id 0",
+                                   f"fan/{other} and fan/id_00 both name fan id 0")
+
     def test_scan_is_pure(self, tmp_path):
         _make_tree(tmp_path, [("fan", 0, "normal", "b.wav"),
                               ("fan", 0, "normal", "a.wav"),

@@ -29,6 +29,7 @@ from aad.audio_io import AudioClip, read_wav, write_wav
 from aad.errors import FormatError
 from aad.models import MODEL_KINDS, checkpoint_load
 from aad.scoring import anomaly_score
+from conftest import write_version_1
 
 SMALL_FLAGS = ["--n-fft", "1024", "--hop", "512", "--n-mels", "16",
                "--context-frames", "1"]
@@ -435,6 +436,123 @@ class TestConfigPrecedence:
         assert "not valid JSON" in err[0]
 
 
+CONTRACT_FLAGS = ["--n-fft", "1024", "--hop", "512", "--n-mels", "32",
+                  "--context-frames", "1"]
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr lines) of one in-process ``aad`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    return rc, out.getvalue(), err.getvalue().splitlines()
+
+
+class TestCheckpointContract:
+    """A version 2 checkpoint holds the features and sample rate it was trained
+    with; every command that loads it takes them from it."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, workspace, tmp_path_factory):
+        """A 32-mel tcn_cvae at hop 512, and 3 s of raw stream input."""
+        run = tmp_path_factory.mktemp("contract")
+        assert main(["train", "--root", str(workspace / "data"), "--out", str(run),
+                     "--model", "tcn_cvae", "--window-frames", "8", "--tcn-layers", "2",
+                     "--tcn-channels", "4", "--epochs", "1", "--seed", "7",
+                     *CONTRACT_FLAGS]) == 0
+        (run / "in.f32").write_bytes(np.random.default_rng(8).normal(0, 0.1, 3 * 16000)
+                                     .astype("<f4").tobytes())
+        return run
+
+    def argv(self, workspace, trained, cmd, out):
+        model = ["--model", trained / "last.aadm"]
+        return {"score": ["score", "--root", workspace / "data", "--out", out, *model],
+                "eval": ["eval", "--root", workspace / "data", "--out", out, "--p", "0.5",
+                         *model],
+                "embed": ["embed", "--root", workspace / "data", "--out", out, *model,
+                          "--space", "latent", "--perplexity", "5", "--iterations", "20"],
+                "stream": ["stream", *model, "--input", trained / "in.f32", "--tau", "1e9",
+                           "--window-s", "1", "--hop-s", "0.5"]}[cmd]
+
+    def test_checkpoint_holds_its_features_and_rate(self, trained):
+        model = checkpoint_load(trained / "last.aadm")
+        assert model.sample_rate == 16000
+        assert (model.features == FeatureConfig(n_fft=1024, hop=512, n_mels=32,
+                                                context_frames=1))
+
+    @pytest.mark.parametrize("cmd", ["score", "eval", "embed", "stream"])
+    def test_outputs_need_no_feature_flags(self, workspace, trained, tmp_path, cmd):
+        runs = []
+        for name, extra in (("bare", []), ("flags", [*CONTRACT_FLAGS, "--sample-rate", "16000"])):
+            out = tmp_path / name
+            rc, stdout, err = run_cli([*self.argv(workspace, trained, cmd, out), *extra])
+            assert rc == 0, err
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+            runs.append((stdout if cmd == "stream" else "", files))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("cmd,flag,key,value", [
+        ("score", "--hop", "features.hop", 512), ("score", "--context-frames",
+                                                  "features.context_frames", 1),
+        ("score", "--sample-rate", "sample_rate", 16000),
+        ("stream", "--sample-rate", "sample_rate", 16000),
+        ("eval", "--n-fft", "features.n_fft", 1024),
+    ])
+    def test_setting_unlike_the_checkpoint_is_one_line(self, workspace, trained, tmp_path,
+                                                       cmd, flag, key, value):
+        given = {"--hop": 256, "--context-frames": 9, "--sample-rate": 8000,
+                 "--n-fft": 2048}[flag]
+        rc, stdout, err = run_cli([*self.argv(workspace, trained, cmd, tmp_path / "out"),
+                                   flag, given])
+        assert (rc, stdout) == (1, "")
+        assert err == [f"aad {cmd}: {trained / 'last.aadm'} was trained with "
+                       f"{key}={value!r}; given {given!r}"]
+
+    def test_flipped_payload_byte_is_one_line(self, workspace, trained, tmp_path):
+        raw = bytearray((trained / "last.aadm").read_bytes())
+        raw[-100] ^= 0x10
+        (tmp_path / "bad.aadm").write_bytes(bytes(raw))
+        rc, _, err = run_cli(["score", "--root", workspace / "data", "--out", tmp_path,
+                              "--model", tmp_path / "bad.aadm"])
+        assert rc == 1
+        assert err == [f"aad score: {tmp_path / 'bad.aadm'}: CRC32 mismatch: "
+                       "the file is damaged"]
+
+    def test_version_1_file_takes_features_from_flags(self, workspace, trained, tmp_path):
+        v1 = tmp_path / "v1.aadm"
+        shutil.copy(trained / "last.aadm", v1)
+        write_version_1(v1)
+        scores = []
+        for name, model in (("v1", v1), ("v2", trained / "last.aadm")):
+            rc, _, err = run_cli(["score", "--root", workspace / "data", "--out",
+                                  tmp_path / name, "--model", model, *CONTRACT_FLAGS])
+            assert rc == 0, err
+            scores.append((tmp_path / name / "scores.csv").read_bytes())
+        assert scores[0] == scores[1]
+        # without the flags a version 1 file is scored at the default features
+        rc, _, err = run_cli(["score", "--root", workspace / "data", "--out",
+                              tmp_path / "bare", "--model", v1])
+        assert rc == 1
+        assert err == ["aad score: features have 512 mel bands, the model takes 32"]
+
+    def test_train_on_clips_at_two_rates_needs_one_rate(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        odd = data / "synthetic" / "id_00" / "normal" / "zz.wav"
+        write_wav(odd, np.zeros(4000, np.float32), 8000)
+        rc, _, err = run_cli(["train", "--root", data, "--out", tmp_path / "run",
+                              "--epochs", "0", "--test-fraction", "0.04", *SMALL_FLAGS])
+        assert rc == 1
+        assert len(err) == 1 and err[0].endswith(
+            "synthetic/id_00/normal/zz.wav at 8000 Hz: set one sample_rate")
+        assert not (tmp_path / "run" / "last.aadm").exists()
+        rc, _, err = run_cli(["train", "--root", data, "--out", tmp_path / "run",
+                              "--epochs", "0", "--test-fraction", "0.04",
+                              "--sample-rate", "16000", *SMALL_FLAGS])
+        assert rc == 0, err
+        assert checkpoint_load(tmp_path / "run" / "last.aadm").sample_rate == 16000
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -463,7 +581,7 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"aad {cmd}: ")
-        assert "8 mel bands" in err[0]
+        assert err[0].endswith("was trained with features.n_mels=16; given 8")
 
     def test_empty_dataset_is_pipeline_error(self, tmp_path, capsys):
         rc = main(["features", "--root", str(tmp_path),
@@ -557,6 +675,20 @@ class TestRejectedValues:
         field = flag[2:].replace("-", "_")
         assert f"{field} must be >= 1, got {value}" in one_line_error(capsys, "train")
         assert not (tmp_path / "last.aadm").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["features", "--n-fft", "0"], "n_fft must be >= 1, got 0"),
+        (["features", "--n-fft", "-5", "--hop", "1"], "n_fft must be >= 1, got -5"),
+        (["embed", "--perplexity", "nan"], "perplexity must be a finite number > 1, got nan"),
+    ])
+    def test_value_named_before_any_clip_is_read(self, workspace, tmp_path, capsys,
+                                                 monkeypatch, argv, message):
+        # these named the wrong key, or read every clip before failing
+        import aad.audio_io
+        monkeypatch.setattr(aad.audio_io, "read_wav", lambda path: pytest.fail(path))
+        rc = main([*argv, "--root", str(workspace / "data"), "--out", str(tmp_path)])
+        assert rc == 1
+        assert one_line_error(capsys, argv[0]) == f"aad {argv[0]}: {message}"
 
     def test_embed_max_clips_zero(self, workspace, tmp_path, capsys):
         rc = main(["embed", "--root", str(workspace / "data"), "--out", str(tmp_path),
@@ -905,3 +1037,101 @@ class TestNumericConfigKeyProperty:
 
         run({}, kinds[-1])
         pairs()
+
+
+class TestStreamBytesProperty:
+    """Raw stream input of any byte length, with NaN, infinite and huge samples:
+    exit 0 with one line per whole window, every non-finite score reading
+    ``invalid``, or exit 1 with the one stray-bytes line."""
+
+    WINDOW, HOP = 2000, 1000  # samples: --window-s 0.125 --hop-s 0.0625 at 16 kHz
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(0, 6000), stray=st.sampled_from([0, 0, 1, 2, 3]),
+           specials=st.lists(st.tuples(st.integers(0, 5999), st.sampled_from(
+               [math.nan, math.inf, -math.inf, 3e38, -3e38])), max_size=3))
+    @example(n=4000, stray=0, specials=[(2500, math.nan)])
+    @example(n=4000, stray=2, specials=[])
+    def test_windows_or_the_stray_bytes_line(self, workspace, n, stray, specials):
+        samples = np.random.default_rng(n).normal(0, 0.1, n).astype("<f4")
+        for at, value in specials:
+            if n:
+                samples[at % n] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = Path(tmp) / "in.f32"
+            raw.write_bytes(samples.tobytes() + b"\x7f" * stray)
+            rc, stdout, err = run_cli(["stream", "--model", workspace / "run" / "last.aadm",
+                                       "--input", raw, "--tau", "1e9", "--window-s", "0.125",
+                                       "--hop-s", "0.0625"])
+        if stray:
+            assert rc == 1
+            assert err == [f"aad stream: input ends with {stray} stray bytes; "
+                           "expected whole float32 samples"]
+            return
+        assert rc == 0 and len(err) == 1 and err[0].startswith("real-time factor: "), err
+        rows = [line.split(", ") for line in stdout.splitlines()]
+        assert len(rows) == (1 + (n - self.WINDOW) // self.HOP if n >= self.WINDOW else 0)
+        for _, score, decision in rows:
+            assert decision == ("normal" if math.isfinite(float(score)) else "invalid")
+
+
+def oracle_index(root):
+    """(machine type, ID, label, path) of each labeled .wav under root, found
+    without ``scan_dataset``, and the first two ID directories that name one
+    ID (or None)."""
+    entries, homes = [], {}
+    for wav in sorted(root.glob("*/*/*/*.wav")):
+        label_dir, id_dir, mtype = wav.parent.name, wav.parent.parent.name, wav.parents[2].name
+        digits = id_dir[3:]
+        if not id_dir.startswith("id_") or label_dir not in ("normal", "abnormal"):
+            continue
+        try:
+            mid = int(digits)
+        except ValueError:
+            continue
+        home = homes.setdefault((mtype, mid), id_dir)
+        if home != id_dir:
+            return entries, (f"{mtype}/{home}", f"{mtype}/{id_dir}", mid)
+        label = "normal" if label_dir == "normal" else "anomaly"
+        entries.append((mtype, mid, label, str(wav.relative_to(root))))
+    return entries, None
+
+
+class TestDatasetTreeProperty:
+    """Small dataset trees (ID spellings, label folders, a .wav that is a
+    directory, a dangling .wav link): ``aad features`` caches the clips of the
+    right index, or ends in one ``aad features:`` line."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(dirs=st.lists(st.tuples(
+        st.sampled_from(["id_00", "id_0", "id_+0", "id_01", "id_1", "id_1_0", "id_10",
+                         "id_x", "id_", "ID_00"]),
+        st.sampled_from(["normal", "abnormal", "other"]),
+        st.sampled_from(["clip", "clip", "directory", "dangling"])), min_size=1, max_size=4))
+    @example(dirs=[("id_00", "normal", "clip"), ("id_0", "normal", "clip")])
+    @example(dirs=[("id_00", "normal", "clip"), ("id_00", "abnormal", "directory")])
+    def test_right_index_or_one_line(self, dirs):
+        with tempfile.TemporaryDirectory() as tmp:
+            root, out = Path(tmp) / "data", Path(tmp) / "out"
+            for i, (id_dir, label, kind) in enumerate(dirs):
+                wav = root / "fan" / id_dir / label / f"{i}.wav"
+                wav.parent.mkdir(parents=True, exist_ok=True)
+                if kind == "clip":
+                    write_wav(wav, np.zeros(1024, np.float32), 16000)
+                elif kind == "directory":
+                    wav.mkdir()
+                else:
+                    wav.symlink_to(root / "missing.wav")
+            expected, clash = oracle_index(root)
+            rc, _, err = run_cli(["features", "--root", root, "--out", out, *SMALL_FLAGS])
+            if rc == 0:
+                found = aad.audio_io.scan_dataset(root).entries
+                assert clash is None
+                assert expected == [(e.machine_type, e.machine_id, e.label, e.path) for e in found]
+                cached = sorted(str(p.relative_to(out).with_suffix(".wav"))
+                                for p in out.rglob("*.aadf"))
+                assert cached == sorted(e[3] for e in expected)
+                return
+        assert rc == 1 and len(err) == 1 and err[0].startswith("aad features: "), err
+        if clash:
+            assert err == ["aad features: {} and {} both name fan id {}".format(*clash)]

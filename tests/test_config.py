@@ -3,7 +3,9 @@
 The table below names every config key and every command that reads it.
 For each pair, the value set in a config file and the value set by flag
 (where the key has one) must give byte-identical outputs, and both must
-differ from the default's.
+differ from the default's. The commands that load a checkpoint take the
+features and sample rate from it: for them a value unlike the checkpoint's
+must be the same one-line error, from a file or a flag.
 """
 
 import io
@@ -11,7 +13,7 @@ import json
 import re
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -20,9 +22,11 @@ import numpy as np
 import pytest
 
 from aad.cli import CONFIG_FLAGS, RunConfig, main
+from aad.models import checkpoint_load
 
 DATASET_CMDS = ("features", "train", "score", "eval", "embed")
 FEATURE_CMDS = (*DATASET_CMDS, "stream")
+LOADERS = ("score", "eval", "stream")  # check the features against the checkpoint
 
 # key -> (a valid non-default value, the commands that read it)
 READERS = {
@@ -34,7 +38,7 @@ READERS = {
     "features.n_fft": (2048, FEATURE_CMDS),
     "features.hop": (256, FEATURE_CMDS),
     "features.n_mels": (8, FEATURE_CMDS),
-    "features.context_frames": (3, ("features", "train")),  # a checkpoint holds its own
+    "features.context_frames": (3, ("features", "train", *LOADERS)),
     "features.fmin": (100.0, FEATURE_CMDS),
     "features.fmax": (6000.0, FEATURE_CMDS),
     "features.log_floor": (1e3, FEATURE_CMDS),
@@ -207,6 +211,13 @@ def test_file_and_flag_set_the_same_value(world, tmp_path, cmd, key):
     default = run(world, tmp_path / "default", cmd, flags, in_file)
     by_file = run(world, tmp_path / "file", cmd, flags, {**in_file, key: value})
     assert by_file != default, f"{cmd} does not read {key}"
+    if cmd in LOADERS and (key == "sample_rate" or key.startswith("features.")):
+        ckpt = world / "run" / "last.aadm"
+        model = checkpoint_load(ckpt)
+        held = {"sample_rate": model.sample_rate,
+                **{f"features.{k}": v for k, v in asdict(model.features).items()}}
+        assert by_file == (1, f"aad {cmd}: {ckpt} was trained with {key}={held[key]!r}; "
+                              f"given {value!r}\n")
     if flag_of(cmd, key):
         by_flag = run(world, tmp_path / "flag", cmd, {**flags, key: value}, in_file)
         assert by_flag == by_file

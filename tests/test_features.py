@@ -337,6 +337,12 @@ class TestFeatureConfigValidation:
         with pytest.raises(ConfigError):
             FeatureConfig(n_fft=256, hop=512)
 
+    @pytest.mark.parametrize("n_fft,hop", [(0, 512), (-5, 1), (-1, -1)])
+    def test_n_fft_is_checked_before_hop(self, n_fft, hop):
+        # n_fft 0 was reported as "hop must be in [1, n_fft], got 512"
+        with pytest.raises(ConfigError, match=f"n_fft must be >= 1, got {n_fft}"):
+            FeatureConfig(n_fft=n_fft, hop=hop)
+
     def test_even_context_frames(self):
         with pytest.raises(ConfigError):
             FeatureConfig(context_frames=4)
@@ -384,7 +390,7 @@ class TestFrameCountsFromHeaders:
         with tempfile.TemporaryDirectory() as root:
             Path(root, "a.wav").write_bytes(blob)
             index = DatasetIndex(root, [DatasetEntry("synthetic", 0, NORMAL, "a.wav")])
-            counted = outcome(lambda: dataset_frame_counts(index, cfg, target_rate=target))
+            counted = outcome(lambda: dataset_frame_counts(index, cfg, target_rate=target)[0])
             made = outcome(lambda: [c.features.frames
                                     for c in dataset_features(index, cfg, target_rate=target)])
         assert counted == made

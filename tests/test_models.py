@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aad.models
-from aad.errors import FormatError, ShapeError, SpecError, SpecMismatchError
+from aad.errors import ContractError, FormatError, ShapeError, SpecError
 from aad.features import FeatureMatrix
 from aad.models import (
     MODEL_KINDS,
@@ -23,7 +24,7 @@ from aad.models import (
     vae_loss,
 )
 from aad.tensor import Tensor, adam_step, backward, init_adam, zero_grads
-from conftest import assert_grads_close, finite_diff_grad
+from conftest import assert_grads_close, finite_diff_grad, with_contract, write_version_1
 
 
 def feature_matrix(frames=40, dims=16, seed=0):
@@ -404,7 +405,7 @@ class TestCheckpoint:
         spec = default_spec(kind, n_mels=8, window_frames=16,
                             conv_channels=(8, 16), latent_dim=6,
                             context_frames=3, hidden=(16,), bottleneck=4)
-        return build(spec)
+        return with_contract(build(spec))
 
     def test_roundtrip_identical_forward(self, tmp_path):
         model = self._small_model()
@@ -415,6 +416,7 @@ class TestCheckpoint:
         for p1, p2 in zip(model.params, back.params):
             np.testing.assert_array_equal(p1.data, p2.data)
         np.testing.assert_array_equal(model.feature_mean, back.feature_mean)
+        assert (back.features, back.sample_rate) == (model.features, 16000)
         fm = feature_matrix(frames=30, dims=8)
         xa1, xr1 = model.reconstruct_features(fm)
         xa2, xr2 = back.reconstruct_features(fm)
@@ -435,13 +437,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             checkpoint_load(path)
 
-    def test_cross_spec_load_rejected(self, tmp_path):
-        model = self._small_model("dense_ae")
+    def test_save_needs_a_feature_contract(self, tmp_path):
+        model = build(default_spec("dense_ae", n_mels=8, context_frames=3))
+        with pytest.raises(ContractError, match="feature contract"):
+            checkpoint_save(model, tmp_path / "m.aadm")
+        assert not (tmp_path / "m.aadm").exists()
+
+    @pytest.mark.parametrize("key,held", [("n_mels", "(5, 3)"), ("context_frames", "(8, 5)")])
+    def test_features_unlike_the_spec_are_format_error(self, tmp_path, key, held):
+        model = self._small_model("dense_ae")  # 8 mels, 3 context frames
+        setattr(model.features, key, 5)
         path = tmp_path / "m.aadm"
         checkpoint_save(model, path)
-        other = default_spec("tcn_cvae", n_mels=8)
-        with pytest.raises(SpecMismatchError):
-            checkpoint_load(path, expected_spec=other)
+        with pytest.raises(FormatError) as info:
+            checkpoint_load(path)
+        assert str(info.value).endswith(
+            f"features give (n_mels, context_frames) {held}, the spec (8, 3)")
 
     @pytest.mark.parametrize("where", ["param", "mean", "std"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -472,14 +483,24 @@ class TestCheckpoint:
     @pytest.mark.parametrize("old,new,key", [(b"[128]", b"[1.8]", "hidden"),
                                              (b'"dense_ae"', b'"Dense_ae"', "kind")])
     def test_header_spec_it_rejects_is_format_error(self, tmp_path, old, new, key):
-        model = build(default_spec("dense_ae", n_mels=8, context_frames=3, hidden=(128,),
-                                   bottleneck=4))
+        model = with_contract(build(default_spec("dense_ae", n_mels=8, context_frames=3,
+                                                 hidden=(128,), bottleneck=4)))
         path = tmp_path / "m.aadm"
         checkpoint_save(model, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw.replace(old, new, 1))
+        body = path.read_bytes()[:-4].replace(old, new, 1)
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # re-sealed
         with pytest.raises(FormatError, match=key):
             checkpoint_load(path)
+
+    def test_file_written_as_version_1_loads_without_a_contract(self, tmp_path):
+        model = self._small_model()
+        path = tmp_path / "m.aadm"
+        checkpoint_save(model, path)
+        write_version_1(path)
+        back = checkpoint_load(path)
+        assert (back.features, back.sample_rate) == (None, None)
+        for p1, p2 in zip(model.params, back.params):
+            np.testing.assert_array_equal(p1.data, p2.data)
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(["dense_ae", "cvae", "tcn_cvae"]),
@@ -487,11 +508,13 @@ class TestCheckpoint:
            flip=st.integers(1, 255), in_header=st.booleans(), truncate=st.booleans())
     def test_damaged_file_loads_or_raises_format_error(self, tmp_path_factory, kind, cut,
                                                        flip_at, flip, in_header, truncate):
+        """Any truncation and any flipped byte, in the header or the payload, is a
+        FormatError: the CRC32 trailer catches what the header checks would not."""
         # three-digit sizes, so a flipped byte can also make a float ("128" -> "1.8")
-        model = build(default_spec(kind, n_mels=8, window_frames=16, conv_channels=(8, 16),
-                                   latent_dim=6, context_frames=3, hidden=(128,),
-                                   bottleneck=4, tcn_layers=2, tcn_channels=8,
-                                   window_hop=128))
+        model = with_contract(build(default_spec(
+            kind, n_mels=8, window_frames=16, conv_channels=(8, 16), latent_dim=6,
+            context_frames=3, hidden=(128,), bottleneck=4, tcn_layers=2, tcn_channels=8,
+            window_hop=128)))
         path = tmp_path_factory.mktemp("aadm") / "m.aadm"
         checkpoint_save(model, path)
         raw = bytearray(path.read_bytes())
@@ -501,8 +524,5 @@ class TestCheckpoint:
         else:
             raw[flip_at % (header_end if in_header else len(raw))] ^= flip
         path.write_bytes(bytes(raw))
-        try:
-            back = checkpoint_load(path)
-        except FormatError:
-            return
-        assert all(np.isfinite(p.data).all() for p in back.params)
+        with pytest.raises(FormatError):
+            checkpoint_load(path)

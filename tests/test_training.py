@@ -17,7 +17,7 @@ from aad.training import (
     train,
     write_trainlog_csv,
 )
-from conftest import stack_frames
+from conftest import stack_frames, with_contract
 
 
 def synthetic_clip_features(n_clips, frames=14, dims=16, label=NORMAL, seed=0):
@@ -122,7 +122,7 @@ class TestCheckpointing:
     def test_best_and_last_written(self, tmp_path):
         clips = synthetic_clip_features(6)
         cfg = TrainConfig(epochs=2, batch_size=16, validation_split=0.2)
-        model, _ = train(build(small_dense_spec()), clips, cfg,
+        model, _ = train(with_contract(build(small_dense_spec())), clips, cfg,
                          checkpoint_dir=tmp_path)
         assert (tmp_path / "best.aadm").exists()
         assert (tmp_path / "last.aadm").exists()
@@ -131,7 +131,7 @@ class TestCheckpointing:
             np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_checkpoint_reexports(self, tmp_path):
-        model = build(small_dense_spec())
+        model = with_contract(build(small_dense_spec()))
         checkpoint_save(model, tmp_path / "m.aadm")
         assert checkpoint_load(tmp_path / "m.aadm").spec == model.spec
 
@@ -215,7 +215,7 @@ class TestMemory:
         cfg = FeatureConfig()  # 512 mels
         model = build(default_spec("dense_ae", n_mels=cfg.n_mels, context_frames=1,
                                    hidden=(8,), bottleneck=2, normalize=False))
-        counts = dataset_frame_counts(index, cfg)
+        counts, _ = dataset_frame_counts(index, cfg)
         frame_bytes = sum(counts) * cfg.n_mels * 4
         clip = index.read(index.entries[0])
         log_mel(clip, cfg)  # FFT plans exist from here on

@@ -132,6 +132,12 @@ class TestTsneEmbed:
         np.testing.assert_allclose(permuted.points, base.points[perm],
                                    rtol=1e-5, atol=1e-4)
 
+    @pytest.mark.parametrize("perplexity", [float("nan"), float("inf"), 1.0, -2.0])
+    def test_perplexity_must_be_finite_and_above_one(self, perplexity):
+        # NaN passed, so `aad embed --perplexity nan` extracted every clip first
+        with pytest.raises(ConfigError, match="perplexity must be a finite number > 1"):
+            EmbedConfig(perplexity=perplexity)
+
     def test_perplexity_too_large_for_n(self):
         with pytest.raises(ConfigError):
             tsne_embed(np.random.default_rng(0).normal(size=(10, 4)),

@@ -230,8 +230,9 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
 
 def scan_dataset(root: str | Path) -> DatasetIndex:
-    """Scan a MIMII-layout tree into a deterministic, lexicographic index; two ID
-    directories that name one ID, such as ``id_0`` and ``id_00``, are a ContractError."""
+    """Scan a MIMII-layout tree into a deterministic, lexicographic index. An ID
+    directory is ``id_`` and ASCII digits; others, such as ``id_1_0``, are skipped.
+    Two that name one ID, such as ``id_0`` and ``id_00``, are a ContractError."""
     root = Path(root)
     entries, id_dirs = [], {}  # id_dirs: (machine type, ID) -> its first directory
     for wav in sorted(root.glob("*/id_*/*/*.wav")):
@@ -242,11 +243,10 @@ def scan_dataset(root: str | Path) -> DatasetIndex:
             label = ANOMALY
         else:
             continue
-        id_dir = wav.parent.parent.name
-        try:
-            machine_id = int(id_dir.split("_", 1)[1])
-        except (IndexError, ValueError):
+        digits = wav.parent.parent.name[len("id_"):]
+        if not (digits.isascii() and digits.isdigit()):
             continue
+        machine_id = int(digits)
         machine_type = wav.parent.parent.parent.name
         id_path = wav.relative_to(root).parent.parent
         first = id_dirs.setdefault((machine_type, machine_id), id_path)

@@ -187,10 +187,11 @@ def log_mel(clip: AudioClip, config: FeatureConfig,
 
     Pass a precomputed ``filterbank`` to amortize construction across clips.
     """
-    power = stft_power(clip, config)
-    if filterbank is None:
-        filterbank = mel_filterbank(config, clip.sample_rate)
-    mel_power = power @ filterbank.T
+    with np.errstate(invalid="ignore"):  # a non-finite sample gives NaN features, quietly
+        power = stft_power(clip, config)
+        if filterbank is None:
+            filterbank = mel_filterbank(config, clip.sample_rate)
+        mel_power = power @ filterbank.T
     db = 10.0 * np.log10(np.maximum(mel_power, config.log_floor))
     return FeatureMatrix(data=db.astype(np.float32),
                          frame_rate=clip.sample_rate / config.hop)

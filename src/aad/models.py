@@ -615,7 +615,12 @@ def _read_tensor(buf: memoryview, off: int, path) -> tuple[np.ndarray, int]:
 
 def checkpoint_save(model: Model, path: str | Path) -> None:
     """Serialize the spec and feature contract, the parameter tensors (float32,
-    exact), and a CRC32 of every byte before it."""
+    exact), and a CRC32 of every byte before it.
+
+    An existing file at ``path`` is removed and a new one written, never
+    truncated and rewritten: a reader that opened the old file keeps reading
+    it whole, and on ext4 the rewrite does not wait for the old file's data
+    to reach the disk, as it does after a truncation."""
     if model.features is None or model.sample_rate is None:
         raise ContractError("the model has no feature contract (features, sample_rate) to save")
     blob = json.dumps({"spec": asdict(model.spec), "features": asdict(model.features),
@@ -624,6 +629,7 @@ def checkpoint_save(model: Model, path: str | Path) -> None:
               *((model.feature_mean, model.feature_std) if model.spec.normalize else ())]
     head = CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(blob)) + blob
     crc = zlib.crc32(head)
+    Path(path).unlink(missing_ok=True)
     with open(path, "wb") as fh:
         fh.write(head)
         for arr in arrays:

@@ -99,10 +99,11 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
     ``frame_counts`` the clips are listed first.
 
     Returns the trained model and a per-epoch log. When ``checkpoint_dir``
-    is given, ``last.aadm`` is written at the end and ``best.aadm`` at the
-    best validation loss. Under glibc, malloc's trim and mmap thresholds are
-    fixed for the process (``heap.keep_freed_memory``), as every ``aad``
-    command already does, so that library callers reuse freed memory too.
+    is given, ``last.aadm`` is written at the end and ``best.aadm`` at each
+    new best validation loss, each time as a new file (``checkpoint_save``).
+    Under glibc, malloc's trim and mmap thresholds are fixed for the process
+    (``heap.keep_freed_memory``), as every ``aad`` command already does, so
+    that library callers reuse freed memory too.
     """
     keep_freed_memory()
     if frame_counts is None:

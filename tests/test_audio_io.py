@@ -298,7 +298,7 @@ class TestScanDataset:
         with pytest.raises(DatasetEmptyError):
             scan_dataset(tmp_path)
 
-    @pytest.mark.parametrize("other", ["id_0", "id_+0", "id_0_0"])
+    @pytest.mark.parametrize("other", ["id_0", "id_000"])
     def test_two_directories_naming_one_id_are_rejected(self, tmp_path, other):
         # both folders' clips were merged into one row for id 0
         _make_tree(tmp_path, [("fan", 0, "normal", "a.wav")])
@@ -309,6 +309,17 @@ class TestScanDataset:
             scan_dataset(tmp_path)
         assert str(info.value) in (f"fan/id_00 and fan/{other} both name fan id 0",
                                    f"fan/{other} and fan/id_00 both name fan id 0")
+
+    @pytest.mark.parametrize("other", ["id_+0", "id_0_0", "id_1_0", "id_ 0", "id_\u0660",
+                                       "id_x", "id_"])
+    def test_other_id_spellings_are_skipped(self, tmp_path, other):
+        # int() read id_+0, id_ 0 and id_<Arabic-Indic zero> as 0, and id_1_0 as 10
+        _make_tree(tmp_path, [("fan", 0, "normal", "a.wav")])
+        d = tmp_path / "fan" / other / "normal"
+        d.mkdir(parents=True)
+        wavfile.write(str(d / "b.wav"), 16000, np.zeros(16, dtype=np.int16))
+        idx = scan_dataset(tmp_path)
+        assert [(e.machine_id, e.path) for e in idx.entries] == [(0, "fan/id_00/normal/a.wav")]
 
     def test_scan_is_pure(self, tmp_path):
         _make_tree(tmp_path, [("fan", 0, "normal", "b.wav"),

@@ -170,6 +170,20 @@ class TestStream:
         assert rows[1][1] == rows[2][1] == "nan"
         assert "(5 windows, 2 invalid, 6.0 s audio in " in err.getvalue()
 
+    def test_infinite_sample_writes_only_the_summary_to_stderr(self, workspace, tmp_path):
+        # numpy's "invalid value" warnings came between the decision lines
+        samples = np.random.default_rng(4).normal(0, 0.1, 4 * 16000).astype("<f4")
+        samples[20000] = np.inf
+        raw = tmp_path / "audio.f32"
+        raw.write_bytes(samples.tobytes())
+        argv, env = cli_command(*stream_args(workspace), "--input", raw)
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0
+        (summary,) = done.stderr.decode().splitlines()
+        assert summary.startswith("real-time factor: ") and "(3 windows, 2 invalid, " in summary
+        decisions = [line.split(", ")[2] for line in done.stdout.decode().splitlines()]
+        assert decisions == ["invalid", "invalid", "normal"]
+
     def test_summary_reports_window_compute_percentiles(self, workspace, tmp_path):
         raw = tmp_path / "audio.f32"
         raw.write_bytes(np.random.default_rng(6).normal(0, 0.1, 5 * 16000)
@@ -362,6 +376,21 @@ class TestScoreErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("aad score: ")
         assert "not finite" in err[0]
+
+    def test_infinite_sample_writes_no_warning(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        clip = sorted(data.rglob("abnormal/*.wav"))[0]
+        samples = np.random.default_rng(8).normal(0, 0.1, 8000).astype(np.float32)
+        samples[4000] = np.inf
+        write_wav(clip, samples, 16000)
+        argv, env = cli_command("score", "--root", data, "--out", tmp_path / "out", "--model",
+                                workspace / "run" / "last.aadm", "--seed", "7", *SMALL_FLAGS)
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0 and done.stderr == b"", done.stderr.decode()
+        rows = list(csv.DictReader((tmp_path / "out" / "scores.csv").open()))
+        (row,) = [r for r in rows if r["clip_path"] == str(clip.relative_to(data))]
+        assert (row["score"], row["decision"]) == ("nan", "anomaly")
 
 
 class TestConfigPrecedence:
@@ -1083,12 +1112,10 @@ def oracle_index(root):
     for wav in sorted(root.glob("*/*/*/*.wav")):
         label_dir, id_dir, mtype = wav.parent.name, wav.parent.parent.name, wav.parents[2].name
         digits = id_dir[3:]
-        if not id_dir.startswith("id_") or label_dir not in ("normal", "abnormal"):
+        if (not id_dir.startswith("id_") or label_dir not in ("normal", "abnormal")
+                or not re.fullmatch("[0-9]+", digits)):
             continue
-        try:
-            mid = int(digits)
-        except ValueError:
-            continue
+        mid = int(digits)
         home = homes.setdefault((mtype, mid), id_dir)
         if home != id_dir:
             return entries, (f"{mtype}/{home}", f"{mtype}/{id_dir}", mid)
@@ -1105,11 +1132,12 @@ class TestDatasetTreeProperty:
     @settings(max_examples=30, deadline=None, database=None)
     @given(dirs=st.lists(st.tuples(
         st.sampled_from(["id_00", "id_0", "id_+0", "id_01", "id_1", "id_1_0", "id_10",
-                         "id_x", "id_", "ID_00"]),
+                         "id_ 1", "id_\u0661", "id_x", "id_", "ID_00"]),
         st.sampled_from(["normal", "abnormal", "other"]),
         st.sampled_from(["clip", "clip", "directory", "dangling"])), min_size=1, max_size=4))
     @example(dirs=[("id_00", "normal", "clip"), ("id_0", "normal", "clip")])
     @example(dirs=[("id_00", "normal", "clip"), ("id_00", "abnormal", "directory")])
+    @example(dirs=[("id_1_0", "normal", "clip"), ("id_10", "abnormal", "clip")])
     def test_right_index_or_one_line(self, dirs):
         with tempfile.TemporaryDirectory() as tmp:
             root, out = Path(tmp) / "data", Path(tmp) / "out"

@@ -422,6 +422,24 @@ class TestCheckpoint:
         xa2, xr2 = back.reconstruct_features(fm)
         np.testing.assert_array_equal(xr1, xr2)
 
+    def test_a_save_leaves_an_open_reader_the_old_file_whole(self, tmp_path):
+        # a save used to truncate the file in place, under any reader of it
+        model = self._small_model()
+        path = tmp_path / "m.aadm"
+        checkpoint_save(model, path)
+        first = path.read_bytes()
+        with open(path, "rb") as reader:
+            for p in model.params:
+                p.data += 1.0
+            checkpoint_save(model, path)
+            held = reader.read()
+        assert held == first
+        (tmp_path / "held.aadm").write_bytes(held)
+        checkpoint_load(tmp_path / "held.aadm")
+        back = checkpoint_load(path)
+        for p1, p2 in zip(model.params, back.params):
+            np.testing.assert_array_equal(p1.data, p2.data)
+
     def test_truncated_file_rejected(self, tmp_path):
         model = self._small_model()
         path = tmp_path / "m.aadm"

@@ -29,8 +29,6 @@ NORMAL = "normal"
 ANOMALY = "anomaly"
 UNLABELED = "unlabeled"
 
-MACHINE_TYPES = ("fan", "pump", "slider", "valve", "synthetic")
-
 # Harmonic stack used by the synthetic generator (fundamental + 2 overtones).
 _SYNTH_HARMONICS = ((120.0, 0.45), (240.0, 0.27), (360.0, 0.18))
 _SYNTH_NOISE = 0.01

@@ -101,7 +101,7 @@ def _load_config_file(path: str | None) -> dict:
     with open(path, "rb") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        except (ValueError, RecursionError) as exc:  # bad JSON or text, or nesting too deep
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")

@@ -275,7 +275,7 @@ def load_features(path: str | Path) -> FeatureMatrix:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")

@@ -25,9 +25,10 @@ import json
 import math
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -270,8 +271,18 @@ def _he_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape).astype(_DTYPE)
 
 
+@contextmanager
+def _shape_named(shape: tuple) -> Iterator[None]:
+    """Name the shape in a SpecError when numpy cannot make an array of it."""
+    try:
+        yield
+    except ValueError as exc:  # "array is too big", "Maximum allowed dimension exceeded"
+        raise SpecError(f"no array of shape {shape} can be made: {exc}") from None
+
+
 class Model:
-    """Shared machinery: parameter registry and normalization buffers.
+    """Shared machinery: parameter registry, normalization buffers and the
+    forward pass; a rung of the ladder adds its ``_encode`` and ``_decode``.
 
     ``stored`` maps each parameter's shape to its array, called in registry
     order; without it, parameters get the He init seeded by ``spec.seed``.
@@ -282,25 +293,24 @@ class Model:
         self.features: FeatureConfig | None = None  # what it is trained on, set by its
         self.sample_rate: int | None = None  # trainer; a v1 checkpoint leaves both None
         self.params: list[Tensor] = []
-        self.param_names: list[str] = []
         self._stored = stored
         self._rng = np.random.default_rng(spec.seed) if stored is None else None
         dims = spec.n_mels if spec.kind != "dense_ae" else spec.n_mels * spec.context_frames
-        self.feature_mean = np.zeros(dims, dtype=_DTYPE)
-        self.feature_std = np.ones(dims, dtype=_DTYPE)
+        with _shape_named((dims,)):
+            self.feature_mean = np.zeros(dims, dtype=_DTYPE)
+            self.feature_std = np.ones(dims, dtype=_DTYPE)
 
     # -- parameter management --
 
-    def _param(self, name: str, shape: tuple, fan_in: int, zero: bool = False) -> Tensor:
+    def _param(self, shape: tuple, fan_in: int, zero: bool = False) -> Tensor:
         if self._stored is not None:
             data = self._stored(shape)
-        elif zero:
-            data = np.zeros(shape, dtype=_DTYPE)
         else:
-            data = _he_uniform(self._rng, shape, fan_in)
+            with _shape_named(shape):
+                data = (np.zeros(shape, dtype=_DTYPE) if zero
+                        else _he_uniform(self._rng, shape, fan_in))
         t = Tensor(data, requires_grad=True)
         self.params.append(t)
-        self.param_names.append(name)
         return t
 
     def param_count(self) -> int:
@@ -403,8 +413,23 @@ class Model:
         starts = self.input_starts(fm.frames)  # before the view, which needs a whole input
         return self.input_view(fm.data)[starts]
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> ForwardResult:
+    def _encode(self, x: Tensor) -> tuple[Tensor, Tensor | None]:
+        """(mu or code, log_var or None) of a batch of normalized inputs."""
         raise NotImplementedError
+
+    def _decode(self, z: Tensor) -> Tensor:
+        """The inputs reconstructed from a batch of codes."""
+        raise NotImplementedError
+
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> ForwardResult:
+        """Reconstruct a batch of normalized inputs. A variational kind decodes
+        a sample drawn with ``rng`` when it is given (training), else its mean."""
+        code, log_var = self._encode(x)
+        if log_var is None:
+            return ForwardResult(recon=self._decode(code), latent=None)
+        ld = LatentDistribution(mu=code, log_var=log_var)
+        z = code if rng is None else reparameterize(ld, rng.standard_normal(code.shape))
+        return ForwardResult(recon=self._decode(z), latent=ld)
 
     def reconstruct_features(self, fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
         """(observed, reconstructed) frame vectors in feature space.
@@ -424,13 +449,17 @@ class Model:
     def encode(self, fm: FeatureMatrix) -> np.ndarray:
         """One latent vector per clip (posterior mean for variational kinds)."""
         samples = self.inputs_from_features(fm)
-        codes = self._encode_batch(Tensor(self._norm(samples)))
+        codes = self._encode(Tensor(self._norm(samples)))[0].data
         if codes.ndim == 3:  # (windows, latent, T): average over time
             codes = codes.mean(axis=2)
         return codes.mean(axis=0)
 
-    def _encode_batch(self, x: Tensor) -> np.ndarray:
-        raise NotImplementedError
+
+def _dense_stack(h: Tensor, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
+    """Dense layers, each but the last followed by a ReLU."""
+    for i, (w, b) in enumerate(layers):
+        h = dense(h, w, b, relu=i != len(layers) - 1)
+    return h
 
 
 class DenseAutoencoder(Model):
@@ -441,26 +470,17 @@ class DenseAutoencoder(Model):
         d = spec.n_mels * spec.context_frames
         widths = [d, *spec.hidden, spec.bottleneck, *reversed(spec.hidden), d]
         self.layers = []
-        for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
-            w = self._param(f"w{i}", (a, b), fan_in=a)
-            bias = self._param(f"b{i}", (b,), fan_in=a, zero=True)
+        for a, b in zip(widths[:-1], widths[1:]):
+            w = self._param((a, b), fan_in=a)
+            bias = self._param((b,), fan_in=a, zero=True)
             self.layers.append((w, bias))
-        self._bottleneck_index = len(spec.hidden)  # layer whose output is the code
+        self._code_layers = len(spec.hidden) + 1  # the last of them outputs the code
 
-    def _run(self, x: Tensor, stop_at_bottleneck: bool = False):
-        h = x
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            h = dense(h, w, b, relu=i != last and i != self._bottleneck_index)
-            if i == self._bottleneck_index and stop_at_bottleneck:
-                return h
-        return h
+    def _encode(self, x):
+        return _dense_stack(x, self.layers[:self._code_layers]), None
 
-    def forward(self, x, rng=None):
-        return ForwardResult(recon=self._run(x), latent=None)
-
-    def _encode_batch(self, x):
-        return self._run(x, stop_at_bottleneck=True).data
+    def _decode(self, z):
+        return _dense_stack(z, self.layers[self._code_layers:])
 
 
 class ConvAutoencoder(Model):
@@ -475,35 +495,34 @@ class ConvAutoencoder(Model):
         chans = [spec.n_mels, *spec.conv_channels]
         k = 3
         self.enc = []
-        for i, (cin, cout) in enumerate(zip(chans[:-1], chans[1:])):
-            w = self._param(f"enc{i}_w", (cout, cin, k), fan_in=cin * k)
-            b = self._param(f"enc{i}_b", (cout,), fan_in=cin * k, zero=True)
+        for cin, cout in zip(chans[:-1], chans[1:]):
+            w = self._param((cout, cin, k), fan_in=cin * k)
+            b = self._param((cout,), fan_in=cin * k, zero=True)
             self.enc.append((w, b))
         self.t_inner = spec.window_frames // 2 ** len(spec.conv_channels)
         flat = spec.conv_channels[-1] * self.t_inner
+        self.w_mu = self._param((flat, spec.latent_dim), fan_in=flat)  # the code of cae
+        self.b_mu = self._param((spec.latent_dim,), fan_in=flat, zero=True)
         if spec.variational:
-            self.w_mu = self._param("mu_w", (flat, spec.latent_dim), fan_in=flat)
-            self.b_mu = self._param("mu_b", (spec.latent_dim,), fan_in=flat, zero=True)
-            self.w_lv = self._param("lv_w", (flat, spec.latent_dim), fan_in=flat)
-            self.b_lv = self._param("lv_b", (spec.latent_dim,), fan_in=flat, zero=True)
-        else:
-            self.w_mu = self._param("code_w", (flat, spec.latent_dim), fan_in=flat)
-            self.b_mu = self._param("code_b", (spec.latent_dim,), fan_in=flat, zero=True)
-        self.w_up = self._param("up_w", (spec.latent_dim, flat), fan_in=spec.latent_dim)
-        self.b_up = self._param("up_b", (flat,), fan_in=spec.latent_dim, zero=True)
+            self.w_lv = self._param((flat, spec.latent_dim), fan_in=flat)
+            self.b_lv = self._param((spec.latent_dim,), fan_in=flat, zero=True)
+        self.w_up = self._param((spec.latent_dim, flat), fan_in=spec.latent_dim)
+        self.b_up = self._param((flat,), fan_in=spec.latent_dim, zero=True)
         self.dec = []
         rev = [*reversed(spec.conv_channels), spec.n_mels]
-        for i, (cin, cout) in enumerate(zip(rev[:-1], rev[1:])):
-            w = self._param(f"dec{i}_w", (cout, cin, k), fan_in=cin * k)
-            b = self._param(f"dec{i}_b", (cout,), fan_in=cin * k, zero=True)
+        for cin, cout in zip(rev[:-1], rev[1:]):
+            w = self._param((cout, cin, k), fan_in=cin * k)
+            b = self._param((cout,), fan_in=cin * k, zero=True)
             self.dec.append((w, b))
 
-    def _encode_flat(self, x: Tensor) -> Tensor:
+    def _encode(self, x):
         h = x
         for w, b in self.enc:
             h = conv1d_causal(h, w, bias=b, causal=False, relu=True)
             h = downsample(h, 2)
-        return h.reshape((h.shape[0], -1))
+        flat = h.reshape((h.shape[0], -1))
+        mu = dense(flat, self.w_mu, self.b_mu)
+        return mu, (dense(flat, self.w_lv, self.b_lv) if self.spec.variational else None)
 
     def _decode(self, z: Tensor) -> Tensor:
         h = dense(z, self.w_up, self.b_up, relu=True)
@@ -513,22 +532,6 @@ class ConvAutoencoder(Model):
             h = upsample(h, 2)
             h = conv1d_causal(h, w, bias=b, causal=False, relu=i != last)
         return h
-
-    def forward(self, x, rng=None):
-        flat = self._encode_flat(x)
-        if not self.spec.variational:
-            return ForwardResult(recon=self._decode(dense(flat, self.w_mu, self.b_mu)),
-                                 latent=None)
-        ld = LatentDistribution(mu=dense(flat, self.w_mu, self.b_mu),
-                                log_var=dense(flat, self.w_lv, self.b_lv))
-        if rng is None:
-            z = ld.mu
-        else:
-            z = reparameterize(ld, rng.standard_normal(ld.mu.shape))
-        return ForwardResult(recon=self._decode(z), latent=ld)
-
-    def _encode_batch(self, x):
-        return dense(self._encode_flat(x), self.w_mu, self.b_mu).data
 
 
 class TcnVae(Model):
@@ -543,58 +546,43 @@ class TcnVae(Model):
         k, c = spec.kernel, spec.tcn_channels
         self.blocks = []
         cin = spec.n_mels
-        for i, d in enumerate(spec.dilations):
-            w = self._param(f"tcn{i}_w", (c, cin, k), fan_in=cin * k)
-            b = self._param(f"tcn{i}_b", (c,), fan_in=cin * k, zero=True)
+        for d in spec.dilations:
+            w = self._param((c, cin, k), fan_in=cin * k)
+            b = self._param((c,), fan_in=cin * k, zero=True)
             self.blocks.append((w, b, d))
             cin = c
         lat = spec.latent_dim
-        self.w_mu = self._param("mu_w", (lat, c, 1), fan_in=c)
-        self.b_mu = self._param("mu_b", (lat,), fan_in=c, zero=True)
-        self.w_lv = self._param("lv_w", (lat, c, 1), fan_in=c)
-        self.b_lv = self._param("lv_b", (lat,), fan_in=c, zero=True)
-        self.w_d0 = self._param("dec0_w", (c, lat, 1), fan_in=lat)
-        self.b_d0 = self._param("dec0_b", (c,), fan_in=lat, zero=True)
-        self.w_d1 = self._param("dec1_w", (c, c, 3), fan_in=c * 3)
-        self.b_d1 = self._param("dec1_b", (c,), fan_in=c * 3, zero=True)
-        self.w_d2 = self._param("dec2_w", (spec.n_mels, c, 1), fan_in=c)
-        self.b_d2 = self._param("dec2_b", (spec.n_mels,), fan_in=c, zero=True)
+        self.w_mu = self._param((lat, c, 1), fan_in=c)
+        self.b_mu = self._param((lat,), fan_in=c, zero=True)
+        self.w_lv = self._param((lat, c, 1), fan_in=c)
+        self.b_lv = self._param((lat,), fan_in=c, zero=True)
+        self.w_d0 = self._param((c, lat, 1), fan_in=lat)
+        self.b_d0 = self._param((c,), fan_in=lat, zero=True)
+        self.w_d1 = self._param((c, c, 3), fan_in=c * 3)
+        self.b_d1 = self._param((c,), fan_in=c * 3, zero=True)
+        self.w_d2 = self._param((spec.n_mels, c, 1), fan_in=c)
+        self.b_d2 = self._param((spec.n_mels,), fan_in=c, zero=True)
 
-    def _encode_dist(self, x: Tensor) -> LatentDistribution:
+    def _encode(self, x):
         h = x
         for w, b, d in self.blocks:
             h = conv1d_causal(h, w, bias=b, dilation=d, relu=True)
-        return LatentDistribution(
-            mu=conv1d_causal(h, self.w_mu, bias=self.b_mu),
-            log_var=conv1d_causal(h, self.w_lv, bias=self.b_lv),
-        )
+        return (conv1d_causal(h, self.w_mu, bias=self.b_mu),
+                conv1d_causal(h, self.w_lv, bias=self.b_lv))
 
     def _decode(self, z: Tensor) -> Tensor:
         h = conv1d_causal(z, self.w_d0, bias=self.b_d0, relu=True)
         h = conv1d_causal(h, self.w_d1, bias=self.b_d1, causal=False, relu=True)
         return conv1d_causal(h, self.w_d2, bias=self.b_d2)
 
-    def forward(self, x, rng=None):
-        ld = self._encode_dist(x)
-        if rng is None:
-            z = ld.mu
-        else:
-            z = reparameterize(ld, rng.standard_normal(ld.mu.shape))
-        return ForwardResult(recon=self._decode(z), latent=ld)
 
-    def _encode_batch(self, x):
-        return self._encode_dist(x).mu.data
+_CLASSES = {"dense_ae": DenseAutoencoder, "cae": ConvAutoencoder, "cvae": ConvAutoencoder,
+            "tcn_cvae": TcnVae}
 
 
 def build(spec: ModelSpec, stored: Callable[[tuple], np.ndarray] | None = None) -> Model:
     """Construct a model: seeded parameters, or ``stored`` ones (see Model)."""
-    if spec.kind == "dense_ae":
-        return DenseAutoencoder(spec, stored)
-    if spec.kind in ("cae", "cvae"):
-        return ConvAutoencoder(spec, stored)
-    if spec.kind == "tcn_cvae":
-        return TcnVae(spec, stored)
-    raise SpecError(f"unknown model kind {spec.kind!r}")
+    return _CLASSES[spec.kind](spec, stored)
 
 
 # -- checkpoint serialization --
@@ -679,8 +667,8 @@ def checkpoint_load(path: str | Path) -> Model:
         header = json.loads(str(buf[12:12 + hlen], "utf-8"))
         spec = ModelSpec(**header["spec"])
         features, rate = _contract(header, spec) if version == 2 else (None, None)
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, AttributeError,
-            SpecError, ConfigError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError,
+            AttributeError, SpecError, ConfigError) as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
     off = 12 + hlen
 
@@ -693,7 +681,10 @@ def checkpoint_load(path: str | Path) -> Model:
             raise FormatError(f"{path}: tensor of shape {shape} holds non-finite values")
         return arr
 
-    model = build(spec, stored)
+    try:
+        model = build(spec, stored)
+    except SpecError as exc:  # a size numpy cannot make an array of
+        raise FormatError(f"{path}: {exc}") from None
     if spec.normalize:
         dims = model.feature_mean.shape
         model.feature_mean, model.feature_std = stored(dims), stored(dims)

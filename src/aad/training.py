@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,12 +76,17 @@ def _batch_loss(model: Model, batch: np.ndarray, rng: np.random.Generator | None
     return vae_loss(x, out.recon, out.latent).total
 
 
-def _eval_loss(model: Model, frames: np.ndarray, starts: np.ndarray,
-               batch_size: int) -> float:
-    inputs = model.input_view(frames)
-    total = 0.0
+def _batches(model: Model, inputs: np.ndarray, starts: np.ndarray,
+             batch_size: int) -> Iterator[np.ndarray]:
+    """The normalized inputs at ``starts``, ``batch_size`` at a time, in order."""
     for i in range(0, len(starts), batch_size):
-        batch = model._norm(inputs[starts[i:i + batch_size]])
+        yield model._norm(inputs[starts[i:i + batch_size]])
+
+
+def _eval_loss(model: Model, inputs: np.ndarray, starts: np.ndarray,
+               batch_size: int) -> float:
+    total = 0.0
+    for batch in _batches(model, inputs, starts, batch_size):
         total += float(_batch_loss(model, batch, rng=None).data) * len(batch)
     return total / len(starts)
 
@@ -94,7 +99,7 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
     ``clips`` may be a one-pass iterator, such as ``dataset_features``, when
     ``frame_counts`` gives each clip's frame count up front (as
     ``dataset_frame_counts`` reads it from the WAV headers): the frame
-    matrices are then sized first and each clip is written into its rows as
+    matrix is then sized first and each clip is written into its rows as
     it arrives, so no clip's features are held beside them. Without
     ``frame_counts`` the clips are listed first.
 
@@ -120,17 +125,15 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
     if not len(fit_order):
         raise ContractError("validation split left no training clips")
 
-    # the fit and validation frame matrices hold their clips in permutation
-    # order; each batch is gathered from them: the inputs are never all held
+    # one frame matrix holds the fit clips' rows, then the validation clips',
+    # each in permutation order; each batch is gathered from it: the inputs
+    # are never all held
     counts = np.asarray(frame_counts, dtype=np.int64)
-    part = np.zeros(n_clips, dtype=np.intp)
-    part[val_order] = 1
+    rows = np.concatenate([fit_order, val_order])
     first_row = np.empty(n_clips, dtype=np.int64)
-    matrices = []
-    for members in (fit_order, val_order):
-        first_row[members] = np.cumsum(counts[members]) - counts[members]
-        matrices.append(np.empty((counts[members].sum(), model.spec.n_mels),
-                                 dtype=np.float32))
+    first_row[rows] = np.cumsum(counts[rows]) - counts[rows]
+    fit_rows = counts[fit_order].sum()
+    frames = np.empty((counts.sum(), model.spec.n_mels), dtype=np.float32)
     clip_starts: list[np.ndarray] = []
     bad = []
     for i, c in enumerate(clips):
@@ -145,7 +148,7 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
             raise ContractError(f"{c.path}: {n} frames where {counts[i]} were counted")
         with clip_named(c.path):
             clip_starts.append(row + model.input_starts(n))
-        matrices[part[i]][row:row + n] = c.features.data
+        frames[row:row + n] = c.features.data
         del c  # not held while the next clip is extracted
     if bad:
         raise SemiSupervisionError(
@@ -153,13 +156,11 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
         )
     if len(clip_starts) != n_clips:
         raise ContractError(f"{len(clip_starts)} clips for {n_clips} frame counts")
-    frames, val_frames = matrices
     starts = np.concatenate([clip_starts[i] for i in fit_order])
     if model.spec.normalize:
-        model.fit_normalization(frames, starts)
+        model.fit_normalization(frames[:fit_rows], starts)
     inputs = model.input_view(frames)
-    val = ((val_frames, np.concatenate([clip_starts[i] for i in val_order]))
-           if n_val else None)
+    val_starts = np.concatenate([clip_starts[i] for i in val_order]) if n_val else None
 
     state = init_adam(model.params, lr=cfg.lr)
     log = TrainLog()
@@ -173,8 +174,7 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
         rng = np.random.default_rng([cfg.seed, 2, epoch])
         perm = rng.permutation(len(starts))
         total = 0.0
-        for b, start in enumerate(range(0, len(starts), cfg.batch_size)):
-            batch = model._norm(inputs[starts[perm[start:start + cfg.batch_size]]])
+        for b, batch in enumerate(_batches(model, inputs, starts[perm], cfg.batch_size)):
             loss = _batch_loss(model, batch, rng=rng)
             value = float(loss.data)
             if not math.isfinite(value):
@@ -185,8 +185,8 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
             zero_grads(model.params)
             total += value * len(batch)
         train_loss = total / len(starts)
-        val_loss = (_eval_loss(model, *val, cfg.batch_size)
-                    if val is not None else math.nan)
+        val_loss = (_eval_loss(model, inputs, val_starts, cfg.batch_size)
+                    if n_val else math.nan)
         log.epochs.append(EpochStats(epoch=epoch, train_loss=train_loss,
                                      val_loss=val_loss,
                                      seconds=time.perf_counter() - t0))

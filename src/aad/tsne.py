@@ -28,6 +28,9 @@ _EXAGGERATION_ITERS = 250
 _MOMENTUM_START = 0.5
 _MOMENTUM_FINAL = 0.8
 _MOMENTUM_SWITCH_ITER = 250
+# the bandwidth bisection
+_BISECTION_TOL = 1e-5
+_BISECTION_STEPS = 200
 
 POINT_COLORS = {NORMAL: "#1f77b4", ANOMALY: "#ff7f0e"}  # blue / orange
 _OTHER_COLOR = "#7f7f7f"
@@ -103,15 +106,14 @@ def _row_entropy(dist_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
     return h, p / total
 
 
-def conditional_affinities(x: np.ndarray, perplexity: float,
-                           tol: float = 1e-5, max_steps: int = 200) -> np.ndarray:
+def conditional_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     """Row-stochastic conditional affinities with calibrated bandwidths.
 
     Each row's Gaussian bandwidth is bisected until the row entropy is
-    within ``tol`` of log(perplexity). Duplicate rows are jittered by
-    1e-10 first; an input whose points all coincide (within jitter scale)
-    degenerates to the uniform distribution instead of chasing an
-    unreachable entropy.
+    within ``_BISECTION_TOL`` of log(perplexity). Duplicate rows are
+    jittered by 1e-10 first; an input whose points all coincide (within
+    jitter scale) degenerates to the uniform distribution instead of
+    chasing an unreachable entropy.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -140,12 +142,12 @@ def conditional_affinities(x: np.ndarray, perplexity: float,
         beta, beta_min, beta_max = 1.0, -np.inf, np.inf
         h, p = _row_entropy(row, beta)
         steps = 0
-        while abs(h - target) > tol:
+        while abs(h - target) > _BISECTION_TOL:
             steps += 1
-            if steps > max_steps:
+            if steps > _BISECTION_STEPS:
                 raise NumericError(
                     f"perplexity bisection for row {i} did not converge "
-                    f"in {max_steps} steps"
+                    f"in {_BISECTION_STEPS} steps"
                 )
             if h > target:
                 beta_min = beta
@@ -158,10 +160,9 @@ def conditional_affinities(x: np.ndarray, perplexity: float,
     return cond
 
 
-def pairwise_affinities(x: np.ndarray, perplexity: float,
-                        tol: float = 1e-5, max_steps: int = 200) -> np.ndarray:
+def pairwise_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized affinities P = (P_cond + P_cond^T) / 2n; sums to 1."""
-    cond = conditional_affinities(x, perplexity, tol, max_steps)
+    cond = conditional_affinities(x, perplexity)
     return (cond + cond.T) / (2.0 * cond.shape[0])
 
 

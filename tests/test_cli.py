@@ -8,9 +8,11 @@ import re
 import resource
 import select
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -750,6 +752,41 @@ class TestRejectedValues:
         assert rc == 1
         assert "must be a finite number > 0" in one_line_error(capsys, "features")
         assert not list(tmp_path.rglob("*.aadf"))
+
+    @pytest.mark.parametrize("kind,flag,value", [("cae", "--window-frames", 2 ** 60),
+                                                 ("tcn_cvae", "--tcn-channels", 2 ** 62)])
+    def test_train_size_numpy_cannot_make(self, workspace, tmp_path, capsys, kind, flag,
+                                          value):
+        # was numpy's ValueError from the He init
+        rc = main(["train", "--root", str(workspace / "data"), "--out", str(tmp_path),
+                   "--model", kind, "--epochs", "1", flag, str(value), *SMALL_FLAGS])
+        assert rc == 1
+        assert "no array of shape (" in one_line_error(capsys, "train")
+
+    @pytest.mark.parametrize("reader", ["config file", "AADM header", "AADF header"])
+    def test_deeply_nested_json_is_one_error(self, tmp_path, capsys, reader):
+        # each was a RecursionError traceback
+        deep = b"[" * 200000 + b"]" * 200000
+        path = tmp_path / "deep"
+        if reader == "AADF header":
+            path.write_bytes(b"AADF" + struct.pack("<2I", 1, len(deep)) + deep)
+            with pytest.raises(FormatError, match="bad header: maximum recursion depth"):
+                load_features(path)
+            return
+        if reader == "config file":
+            path.write_bytes(deep)
+            argv = ["synth", "--out", str(tmp_path / "data"), "--n-normal", "1",
+                    "--n-anomaly", "1", "--config", str(path)]
+            message = "not valid JSON: maximum recursion depth"
+        else:
+            head = b"AADM" + struct.pack("<2I", 2, len(deep)) + deep
+            path.write_bytes(head + struct.pack("<I", zlib.crc32(head)))
+            (tmp_path / "audio.f32").write_bytes(bytes(4 * 16000))
+            argv = ["stream", "--model", str(path), "--input", str(tmp_path / "audio.f32"),
+                    "--tau", "1"]
+            message = "bad header: maximum recursion depth"
+        assert main(argv) == 1
+        assert message in one_line_error(capsys, argv[0])
 
     def test_embed_leaves_numpy_ma_unloaded(self, workspace, tmp_path):
         # duplicate rows are found without np.unique(axis=0), which imports numpy.ma

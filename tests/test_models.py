@@ -79,6 +79,13 @@ class TestBuild:
         with pytest.raises(SpecError, match=f"{field} must be >= 1"):
             default_spec(kind, n_mels=16, **{field: value})
 
+    @pytest.mark.parametrize("kind,field,value", [("cae", "window_frames", 2 ** 60),
+                                                  ("tcn_cvae", "tcn_channels", 2 ** 62)])
+    def test_size_numpy_cannot_make_is_spec_error(self, kind, field, value):
+        # was numpy's ValueError from the He init
+        with pytest.raises(SpecError, match=r"no array of shape \(\d{19,}, \d+"):
+            build(default_spec(kind, n_mels=16, **{field: value}))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(SpecError):
             ModelSpec(kind="transformer")
@@ -324,8 +331,7 @@ class TestParamCount:
         spec = ModelSpec(kind="dense_ae", n_mels=3, context_frames=1,
                          hidden=(), bottleneck=2)
         model = build(spec)
-        w0 = next(p for p, n in zip(model.params, model.param_names) if n == "w0")
-        b0 = next(p for p, n in zip(model.params, model.param_names) if n == "b0")
+        w0, b0 = model.layers[0]
         assert w0.data.size + b0.data.size == 8
 
     def test_mirror_ae_4_2_4(self):
@@ -398,6 +404,51 @@ class TestModelFeaturePlumbing:
         model = build(spec)
         code = model.encode(fm)
         assert code.shape == (5,)
+
+
+def small_spec(kind):
+    return default_spec(kind, n_mels=8, window_frames=16, conv_channels=(8, 16),
+                        latent_dim=6, context_frames=3, hidden=(16,), bottleneck=4,
+                        tcn_layers=3, tcn_channels=8)
+
+
+class TestForwardSampling:
+    """``Model.forward`` samples the latent only for the variational kinds,
+    and only when it is given an rng; ``encode`` reads the posterior mean."""
+
+    @staticmethod
+    def batch(model, fm):
+        return Tensor(model._norm(model.inputs_from_features(fm)))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_draws_one_standard_normal_of_mu_shape_when_variational(self, kind):
+        model = build(small_spec(kind))
+        rng, expected = np.random.default_rng(9), np.random.default_rng(9)
+        out = model.forward(self.batch(model, feature_matrix(dims=8)), rng=rng)
+        if model.spec.variational:
+            expected.standard_normal(out.latent.mu.shape)
+        else:
+            assert out.latent is None
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_without_rng_decodes_the_mean(self, kind):
+        model = build(small_spec(kind))
+        x = self.batch(model, feature_matrix(dims=8))
+        sampled = model.forward(x, rng=np.random.default_rng(9)).recon.data
+        mean = model.forward(x).recon.data
+        if model.spec.variational:
+            assert not np.array_equal(sampled, mean)
+        else:
+            np.testing.assert_array_equal(sampled, mean)
+
+    @pytest.mark.parametrize("kind", ["cvae", "tcn_cvae"])
+    def test_encode_is_the_mean_of_the_posterior_means(self, kind):
+        model = build(small_spec(kind))
+        fm = feature_matrix(dims=8)
+        mu = model.forward(self.batch(model, fm)).latent.mu.data
+        axes = (0, 2) if mu.ndim == 3 else 0  # tcn_cvae: one mu per window step
+        np.testing.assert_allclose(model.encode(fm), mu.mean(axis=axes), rtol=1e-5)
 
 
 class TestCheckpoint:
@@ -508,6 +559,21 @@ class TestCheckpoint:
         body = path.read_bytes()[:-4].replace(old, new, 1)
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # re-sealed
         with pytest.raises(FormatError, match=key):
+            checkpoint_load(path)
+
+    def test_header_sizes_numpy_cannot_make_are_format_error(self, tmp_path):
+        # a re-sealed header whose spec and features both give 2**62 mel bands
+        # was numpy's ValueError from the feature buffers
+        path = tmp_path / "m.aadm"
+        checkpoint_save(self._small_model(), path)
+        raw = path.read_bytes()
+        hlen = struct.unpack_from("<I", raw, 8)[0]
+        header = raw[12:12 + hlen]
+        assert header.count(b'"n_mels": 8,') == 2
+        header = header.replace(b'"n_mels": 8,', b'"n_mels": %d,' % 2 ** 62)
+        body = raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + hlen:-4]
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match=r"no array of shape \(%d,\)" % 2 ** 62):
             checkpoint_load(path)
 
     def test_file_written_as_version_1_loads_without_a_contract(self, tmp_path):

@@ -13,8 +13,8 @@ filter supported even when the mel grid is finer than the FFT resolution
 from __future__ import annotations
 
 import json
-import math
 import struct
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -28,26 +28,24 @@ from .errors import ConfigError, ContractError, FormatError, TooShortError
 
 FEATURE_MAGIC = b"AADF"
 FEATURE_VERSION = 1
+MEL_BREAK_HZ = 700.0  # the knee of the mel map, the conventional constant
+LOG_FLOOR = 1e-10  # the mel power log_mel clamps to before taking dB
 
 
 @dataclass
 class FeatureConfig:
     """Feature extraction parameters.
 
-    ``mel_break_hz`` is the knee of the mel map m = 2595*log10(1 + f/break);
-    700 is the conventional constant. ``context_frames`` is the stacking
-    depth P used to build context vectors (n_mels * P dims per row).
+    ``context_frames`` is the stacking depth P used to build context
+    vectors (n_mels * P dims per row). The mel band, its knee and the
+    power floor are fixed: 0 Hz to sample_rate/2, ``MEL_BREAK_HZ`` and
+    ``LOG_FLOOR``.
     """
 
     n_fft: int = 1024
     hop: int = 512
     n_mels: int = 512
     context_frames: int = 11
-    fmin: float = 0.0
-    fmax: float | None = None  # defaults to sample_rate / 2
-    log_floor: float = 1e-10
-    mel_break_hz: float = 700.0
-    slaney_norm: bool = False
 
     def __post_init__(self):
         if self.n_fft < 1:
@@ -59,19 +57,6 @@ class FeatureConfig:
         p = self.context_frames
         if p < 1 or (p > 1 and p % 2 == 0):
             raise ConfigError("context_frames must be odd or 1")
-        for name in ("log_floor", "mel_break_hz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
-
-    def effective_fmax(self, sample_rate: int) -> float:
-        fmax = self.fmax if self.fmax is not None else sample_rate / 2.0
-        if not self.fmin < fmax <= sample_rate / 2.0:
-            raise ConfigError(
-                f"need fmin < fmax <= sample_rate/2, got fmin={self.fmin}, "
-                f"fmax={fmax}, sample_rate={sample_rate}"
-            )
-        return fmax
 
 
 @dataclass
@@ -90,19 +75,19 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
-def hz_to_mel(f, break_hz: float = 700.0):
-    """Map frequency in Hz to mel: m = 2595 * log10(1 + f / break_hz)."""
+def hz_to_mel(f):
+    """Map frequency in Hz to mel: m = 2595 * log10(1 + f / MEL_BREAK_HZ)."""
     f = np.asarray(f, dtype=np.float64)
     if np.any(f < 0):
         raise ContractError("frequency must be non-negative")
-    out = 2595.0 * np.log10(1.0 + f / break_hz)
+    out = 2595.0 * np.log10(1.0 + f / MEL_BREAK_HZ)
     return float(out) if out.ndim == 0 else out
 
 
-def mel_to_hz(m, break_hz: float = 700.0):
+def mel_to_hz(m):
     """Inverse of hz_to_mel."""
     m = np.asarray(m, dtype=np.float64)
-    out = break_hz * (np.power(10.0, m / 2595.0) - 1.0)
+    out = MEL_BREAK_HZ * (np.power(10.0, m / 2595.0) - 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -120,17 +105,14 @@ def _ramp_integral(lo, hi, a, b, rising):
 def mel_filterbank(config: FeatureConfig, sample_rate: int) -> np.ndarray:
     """Triangular mel filterbank, shape (n_mels, n_fft//2 + 1).
 
-    Filter centers are equally spaced in mel between fmin and fmax. Each
-    weight is the bin-cell average of the unit-peak triangle, so rows are
-    non-negative and unimodal. Raises ConfigError naming the first filter
-    whose support collapses to zero.
+    Filter centers are equally spaced in mel between 0 Hz and
+    sample_rate/2. Each weight is the bin-cell average of the unit-peak
+    triangle, so rows are non-negative and unimodal, and the bin cells
+    tile the band, so each row has a positive weight.
     """
-    fmax = config.effective_fmax(sample_rate)
     n_bins = config.n_fft // 2 + 1
-    grid_mel = np.linspace(hz_to_mel(config.fmin, config.mel_break_hz),
-                           hz_to_mel(fmax, config.mel_break_hz),
-                           config.n_mels + 2)
-    grid_hz = mel_to_hz(grid_mel, config.mel_break_hz)
+    grid_mel = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), config.n_mels + 2)
+    grid_hz = mel_to_hz(grid_mel)
 
     delta = sample_rate / config.n_fft
     bin_lo = np.arange(n_bins) * delta - delta / 2.0
@@ -141,15 +123,7 @@ def mel_filterbank(config: FeatureConfig, sample_rate: int) -> np.ndarray:
         left, center, right = grid_hz[i], grid_hz[i + 1], grid_hz[i + 2]
         area = (_ramp_integral(bin_lo, bin_hi, left, center, rising=True)
                 + _ramp_integral(bin_lo, bin_hi, center, right, rising=False))
-        row = area / delta
-        if not np.any(row > 0):
-            raise ConfigError(
-                f"mel filter {i} has zero support: the mel grid is finer than "
-                f"the resolution of n_fft={config.n_fft} at {sample_rate} Hz"
-            )
-        if config.slaney_norm:
-            row = row * (2.0 / (right - left))
-        fb[i] = row
+        fb[i] = area / delta
     return fb
 
 
@@ -183,7 +157,7 @@ def stft_power(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
 
 def log_mel(clip: AudioClip, config: FeatureConfig,
             filterbank: np.ndarray | None = None) -> FeatureMatrix:
-    """Log-mel feature matrix: 10*log10(max(filterbank @ power, log_floor)).
+    """Log-mel feature matrix: 10*log10(max(filterbank @ power, LOG_FLOOR)).
 
     Pass a precomputed ``filterbank`` to amortize construction across clips.
     """
@@ -192,7 +166,7 @@ def log_mel(clip: AudioClip, config: FeatureConfig,
         if filterbank is None:
             filterbank = mel_filterbank(config, clip.sample_rate)
         mel_power = power @ filterbank.T
-    db = 10.0 * np.log10(np.maximum(mel_power, config.log_floor))
+    db = 10.0 * np.log10(np.maximum(mel_power, LOG_FLOOR))
     return FeatureMatrix(data=db.astype(np.float32),
                          frame_rate=clip.sample_rate / config.hop)
 
@@ -281,9 +255,9 @@ def load_features(path: str | Path) -> FeatureMatrix:
         raise FormatError(f"{path}: header is not a JSON object")
     frames, dims, rate = (header.get(k) for k in ("frames", "dims", "frame_rate"))
     if not all(type(n) is int and n >= 0 for n in (frames, dims)) \
-            or type(rate) not in (int, float):
+            or type(rate) not in (int, float) or not 0 < rate <= sys.float_info.max:
         raise FormatError(f"{path}: header needs integer frames and dims "
-                          "and a numeric frame_rate")
+                          "and a finite frame_rate > 0")
     body = raw[12 + hlen:]
     if len(body) != frames * dims * 4:
         raise FormatError(f"{path}: truncated data section")

@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .annotations import conform, field_hints
 from .errors import ConfigError, ContractError, FormatError, ShapeError, SpecError, TooShortError
-from .features import FeatureConfig, FeatureMatrix
+from .features import LOG_FLOOR, MEL_BREAK_HZ, FeatureConfig, FeatureMatrix
 from .tensor import Tensor, backward, conv1d_causal, dense, downsample, upsample
 
 CHECKPOINT_MAGIC = b"AADM"
@@ -45,6 +45,10 @@ MODEL_KINDS = ("dense_ae", "cae", "cvae", "tcn_cvae")
 
 _DTYPE = np.float32
 _STATS_ROWS = 1024  # frames per float64 chunk of the normalization sums
+# former FeatureConfig fields, each fixed at the one value every earlier file
+# holds; a version 2 header may still name them, at that value only
+_RETIRED_FEATURES = {"fmin": 0.0, "fmax": None, "log_floor": LOG_FLOOR,
+                     "mel_break_hz": MEL_BREAK_HZ, "slaney_norm": False}
 
 
 @dataclass
@@ -608,9 +612,11 @@ def checkpoint_save(model: Model, path: str | Path) -> None:
     An existing file at ``path`` is removed and a new one written, never
     truncated and rewritten: a reader that opened the old file keeps reading
     it whole, and on ext4 the rewrite does not wait for the old file's data
-    to reach the disk, as it does after a truncation."""
+    to reach the disk, as it does after a truncation. Features unlike the
+    spec, which no load would accept, are a ContractError before any write."""
     if model.features is None or model.sample_rate is None:
         raise ContractError("the model has no feature contract (features, sample_rate) to save")
+    _check_contract(model.features, model.spec)
     blob = json.dumps({"spec": asdict(model.spec), "features": asdict(model.features),
                        "sample_rate": model.sample_rate}, sort_keys=True).encode("utf-8")
     arrays = [*(p.data for p in model.params),
@@ -628,16 +634,30 @@ def checkpoint_save(model: Model, path: str | Path) -> None:
         fh.write(struct.pack("<I", crc))
 
 
+def _check_contract(features: FeatureConfig, spec: ModelSpec) -> None:
+    """ContractError unless the features have the spec's n_mels and context_frames."""
+    held, built = (features.n_mels, features.context_frames), (spec.n_mels, spec.context_frames)
+    if held != built:
+        raise ContractError(f"features give (n_mels, context_frames) {held}, the spec {built}")
+
+
 def _contract(header: dict, spec: ModelSpec) -> tuple[FeatureConfig, int]:
     """The features and sample rate a version 2 header holds, checked against its spec."""
+    held = {**header["features"]}
+    for key, fixed in _RETIRED_FEATURES.items():
+        value = held.pop(key, fixed)
+        try:
+            same = conform(value, type(fixed)) == fixed
+        except TypeError:
+            same = False
+        if not same:
+            raise ConfigError(f"features.{key} is {value!r}; only {fixed!r} is supported")
     hints = field_hints(FeatureConfig)
-    features = FeatureConfig(**{k: conform(v, hints[k]) for k, v in header["features"].items()})
+    features = FeatureConfig(**{k: conform(v, hints[k]) for k, v in held.items()})
     rate = header["sample_rate"]
     if type(rate) is not int or rate < 1:
         raise TypeError(f"sample_rate must be an integer >= 1, got {rate!r}")
-    held, built = (features.n_mels, features.context_frames), (spec.n_mels, spec.context_frames)
-    if held != built:
-        raise SpecError(f"features give (n_mels, context_frames) {held}, the spec {built}")
+    _check_contract(features, spec)
     return features, rate
 
 
@@ -647,8 +667,9 @@ def checkpoint_load(path: str | Path) -> Model:
     The model is built from the stored tensors, with no random init. A
     version 2 file also gives the model its ``features`` and ``sample_rate``;
     a version 1 file leaves them None. A CRC32 that does not match, a
-    malformed file, features unlike the spec, a shape unlike the spec's and
-    a non-finite value are FormatError.
+    malformed file, features unlike the spec, a former feature field at a
+    value other than its fixed one, a shape unlike the spec's and a
+    non-finite value are FormatError.
     """
     with open(path, "rb") as fh:
         buf = memoryview(fh.read())
@@ -668,7 +689,7 @@ def checkpoint_load(path: str | Path) -> Model:
         spec = ModelSpec(**header["spec"])
         features, rate = _contract(header, spec) if version == 2 else (None, None)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError,
-            AttributeError, SpecError, ConfigError) as exc:
+            AttributeError, SpecError, ConfigError, ContractError) as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
     off = 12 + hlen
 

@@ -32,14 +32,13 @@ class ScoreRecord:
     machine_id: int
 
 
-def anomaly_score(xa, xr) -> float:
-    """Mean squared frame reconstruction error between observed and rebuilt."""
-    a = xa.data if isinstance(xa, FeatureMatrix) else np.asarray(xa)
-    r = xr.data if isinstance(xr, FeatureMatrix) else np.asarray(xr)
-    if a.shape != r.shape:
-        raise ShapeError(f"anomaly_score: shapes {a.shape} and {r.shape} differ")
-    if a.ndim == 1:
-        a, r = a[None, :], r[None, :]
+def anomaly_score(xa: np.ndarray, xr: np.ndarray) -> float:
+    """Mean squared frame reconstruction error between observed and rebuilt
+    (frames, dims) rows."""
+    a, r = np.asarray(xa), np.asarray(xr)
+    if a.shape != r.shape or a.ndim != 2:
+        raise ShapeError(f"anomaly_score: shapes {a.shape} and {r.shape} are not "
+                         "one (frames, dims) shape")
     d = a.astype(np.float64) - r.astype(np.float64)
     return float(np.mean(np.sum(d * d, axis=1)))
 

@@ -97,15 +97,6 @@ class Tensor:
         return _unary(self, "sum", np.asarray(self.data.sum()),
                       lambda g: np.full_like(self.data, g))
 
-    def sum_squares(self) -> "Tensor":
-        """Sum of x * x; the squares are not kept for the backward pass."""
-        def grad_fn(g):
-            gx = g * self.data
-            gx *= 2  # exact, so equal to the two g * x terms of (x * x).sum()
-            return gx
-        return _unary(self, "sum_squares", np.asarray((self.data * self.data).sum()),
-                      grad_fn)
-
     def reshape(self, shape) -> "Tensor":
         out_data = self.data.reshape(shape)
         return _unary(self, "reshape", out_data,

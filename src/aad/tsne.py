@@ -44,8 +44,8 @@ class EmbedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.output_dims <= 3:
-            raise ConfigError("output_dims must be 1, 2, or 3")
+        if self.output_dims not in (2, 3):
+            raise ConfigError(f"output_dims must be 2 or 3, got {self.output_dims}")
         if not 1 < self.perplexity < float("inf"):
             raise ConfigError(f"perplexity must be a finite number > 1, got {self.perplexity!r}")
         if self.iterations < 1:
@@ -286,12 +286,9 @@ def emit_plot(embedding: Embedding, base_path: str | Path) -> list[Path]:
             writer.writerow([repr(float(v)) for v in point] + [label])
     written.append(csv_path)
 
-    if dims >= 2:
-        pairs = [(0, 1)] if dims == 2 else [(0, 1), (1, 2), (0, 2)]
-        for a, b in pairs:
-            svg_path = base.parent / f"{base.stem}_{axis[a]}{axis[b]}.svg"
-            svg_path.write_text(_svg_scatter(
-                embedding.points[:, (a, b)], embedding.labels,
-                (axis[a], axis[b])))
-            written.append(svg_path)
+    for a, b in [(0, 1)] if dims == 2 else [(0, 1), (1, 2), (0, 2)]:
+        svg_path = base.parent / f"{base.stem}_{axis[a]}{axis[b]}.svg"
+        svg_path.write_text(_svg_scatter(
+            embedding.points[:, (a, b)], embedding.labels, (axis[a], axis[b])))
+        written.append(svg_path)
     return written

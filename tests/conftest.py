@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -35,6 +36,30 @@ def write_version_1(path):
     header = {"spec": json.loads(raw[12:12 + hlen])["spec"]}
     blob = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(b"AADM" + struct.pack("<2I", 1, len(blob)) + blob + raw[12 + hlen:-4])
+
+
+def reseal(path, change):
+    """Rewrite a version 2 checkpoint with ``change`` applied to its header dict,
+    under a fresh CRC32."""
+    raw = path.read_bytes()
+    hlen, = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + hlen])
+    change(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    body = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+# the feature fields a version 2 header held before they were fixed, at the
+# values every file written then holds
+RETIRED_FEATURES = {"fmin": 0.0, "fmax": None, "log_floor": 1e-10, "mel_break_hz": 700.0,
+                    "slaney_norm": False}
+
+
+def write_with_retired_features(path, **values):
+    """Rewrite a version 2 checkpoint as one written when its header held the
+    retired feature fields: at their values then, or at ``values``."""
+    reseal(path, lambda header: header["features"].update(RETIRED_FEATURES, **values))
 
 
 def dominant_freq_hz(samples, sample_rate):

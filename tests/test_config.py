@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from aad.cli import CONFIG_FLAGS, RunConfig, main
-from aad.models import checkpoint_load
+from aad.models import _RETIRED_FEATURES, checkpoint_load
 
 DATASET_CMDS = ("features", "train", "score", "eval", "embed")
 FEATURE_CMDS = (*DATASET_CMDS, "stream")
@@ -39,11 +39,6 @@ READERS = {
     "features.hop": (256, FEATURE_CMDS),
     "features.n_mels": (8, FEATURE_CMDS),
     "features.context_frames": (3, ("features", "train", *LOADERS)),
-    "features.fmin": (100.0, FEATURE_CMDS),
-    "features.fmax": (6000.0, FEATURE_CMDS),
-    "features.log_floor": (1e3, FEATURE_CMDS),
-    "features.mel_break_hz": (1000.0, FEATURE_CMDS),
-    "features.slaney_norm": (True, FEATURE_CMDS),
     "model.kind": ("tcn_cvae", ("train",)),
     "model.window_frames": (16, ("train",)),
     "model.window_hop": (8, ("train",)),
@@ -63,17 +58,23 @@ READERS = {
     "embed.perplexity": (2.5, ("embed",)),
     "embed.iterations": (20, ("embed",)),
 }
-# keys that no longer exist (the loss follows the model kind, the t-SNE
-# schedule is fixed) -> (a value they once took, the type they had); each
-# section is named after the command that read it
+# keys that no longer exist (the loss follows the model kind; the t-SNE
+# schedule, the mel band, its knee and the power floor are fixed) -> (a value
+# they once took, the type they had, the commands that read them); a feature
+# key's value is the one checkpoints may still hold it at
 REMOVED = {
-    "train.loss": ("vae", str),
-    "embed.learning_rate": (100.0, float),
-    "embed.early_exaggeration": (4.0, float),
-    "embed.exaggeration_iters": (5, int),
-    "embed.momentum_start": (0.3, float),
-    "embed.momentum_final": (0.9, float),
-    "embed.momentum_switch_iter": (3, int),
+    "train.loss": ("vae", str, ("train",)),
+    "embed.learning_rate": (100.0, float, ("embed",)),
+    "embed.early_exaggeration": (4.0, float, ("embed",)),
+    "embed.exaggeration_iters": (5, int, ("embed",)),
+    "embed.momentum_start": (0.3, float, ("embed",)),
+    "embed.momentum_final": (0.9, float, ("embed",)),
+    "embed.momentum_switch_iter": (3, int, ("embed",)),
+    "features.fmin": (0.0, float, FEATURE_CMDS),
+    "features.fmax": (None, float | None, FEATURE_CMDS),
+    "features.log_floor": (1e-10, float, FEATURE_CMDS),
+    "features.mel_break_hz": (700.0, float, FEATURE_CMDS),
+    "features.slaney_norm": (False, bool, FEATURE_CMDS),
 }
 # facts held by more than one config type, settable only at their home
 SHARED = {"model.seed", "model.n_mels", "model.context_frames", "train.seed", "embed.seed"}
@@ -168,7 +169,7 @@ def run(world, tmp, cmd, by_flag, in_file):
     out = tmp / "out"
     paths = {"dataset_root": str(world / "data"), "output_dir": str(out)}
     by_flag = {k: paths[k] if v is None else v for k, v in by_flag.items()}
-    in_file = {k: paths[k] if v is None else v for k, v in in_file.items()}
+    in_file = {k: paths.get(k) if v is None else v for k, v in in_file.items()}
     argv = [cmd, *EXTRA_ARGS.get(cmd, [])]
     if cmd in ("score", "eval", "stream"):
         argv += ["--model", str(world / "run" / "last.aadm")]
@@ -196,7 +197,7 @@ def unknown_key(cmd, key):
 
 
 CASES = [(cmd, key) for key, (_, cmds) in READERS.items() for cmd in cmds]
-CASES += [(key.partition(".")[0], key) for key in REMOVED]
+CASES += [(cmd, key) for key, (_, _, cmds) in REMOVED.items() for cmd in cmds]
 
 
 @pytest.mark.parametrize("cmd,key", CASES, ids=[f"{c}-{k}" for c, k in CASES])
@@ -239,7 +240,7 @@ WRONG += [(key, bad) for key in sorted(REMOVED) for bad in wrong_values(REMOVED[
 
 @pytest.mark.parametrize("key,bad", WRONG, ids=[f"{k}={json.dumps(b)}" for k, b in WRONG])
 def test_wrong_type_is_one_line_error(world, tmp_path, key, bad):
-    cmd = READERS[key][1][0] if key in READERS else key.partition(".")[0]
+    cmd = (READERS[key][1] if key in READERS else REMOVED[key][2])[0]
     flags, in_file = split_base(cmd, key)
     rc, err = run(world, tmp_path / "run", cmd, flags, {**in_file, key: bad})
     assert rc == 1
@@ -248,6 +249,11 @@ def test_wrong_type_is_one_line_error(world, tmp_path, key, bad):
     assert repr(key) in lines[0]
     if key in REMOVED:  # refused for the key, not for the value's type
         assert lines == [unknown_key(cmd, key)]
+
+
+def test_removed_feature_keys_are_the_fields_checkpoints_may_hold():
+    assert {key.partition(".")[2]: value for key, (value, _, _) in REMOVED.items()
+            if key.startswith("features.")} == _RETIRED_FEATURES
 
 
 def test_removed_pauc_ceil_flag_is_usage_error(world, tmp_path, capsys):
@@ -279,6 +285,7 @@ def test_key_outside_its_home_names_the_home(world, tmp_path, key, home, cmd):
     ("train", '{"seed": 7.9}'), ("train", '{"test_normal_fraction": "0.5"}'),
     ("train", '{"model": {"n_mels": 32}}'), ("train", '{"train": {"seed": 5}}'),
     ("embed", '{"embed": {"seed": 4}}'), ("train", '{"model": {"seed": 3}}'),
+    ("embed", '{"embed": {"output_dims": 1}}'),  # exited 0 with a CSV and no scatter
 ])
 def test_config_that_was_ignored_or_crashed_is_one_line_error(world, tmp_path, cmd, text,
                                                               capsys):

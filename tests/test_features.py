@@ -75,10 +75,7 @@ class TestMelFilterbank:
         assert np.all(fb.sum(axis=1) > 0)
 
     def test_centers_strictly_increasing_in_hz(self):
-        cfg = FeatureConfig(n_fft=1024, hop=512, n_mels=64, context_frames=1)
-        lo = hz_to_mel(cfg.fmin)
-        hi = hz_to_mel(cfg.effective_fmax(22050))
-        centers = mel_to_hz(np.linspace(lo, hi, 64 + 2)[1:-1])
+        centers = mel_to_hz(np.linspace(0.0, hz_to_mel(22050 / 2), 64 + 2)[1:-1])
         assert np.all(np.diff(centers) > 0)
 
     def test_rows_unimodal(self):
@@ -94,12 +91,16 @@ class TestMelFilterbank:
         assert fb.shape == (512, 513)
         assert np.all(fb.sum(axis=1) > 0)
 
-    def test_zero_support_raises_with_filter_index(self):
-        # a span this small collapses the mel grid below float resolution
-        cfg = FeatureConfig(n_fft=64, hop=32, n_mels=8, context_frames=1,
-                            fmin=5000.0, fmax=5000.0 + 1e-12)
-        with pytest.raises(ConfigError, match="filter 0"):
-            mel_filterbank(cfg, 22050)
+    @pytest.mark.parametrize("rate,n_fft,n_mels", [(1, 1, 3000), (1, 1024, 3000),
+                                                   (192000, 1, 3000), (192000, 1024, 3000),
+                                                   (8000, 16, 2000)])
+    def test_every_filter_has_support_where_mel_grid_outruns_the_fft(self, rate, n_fft,
+                                                                      n_mels):
+        # the band is 0 Hz to rate/2, which the bin cells tile, so no filter
+        # collapses however fine the mel grid is against the FFT resolution
+        fb = mel_filterbank(FeatureConfig(n_fft=n_fft, hop=1, n_mels=n_mels), rate)
+        assert fb.shape == (n_mels, n_fft // 2 + 1)
+        assert np.all(fb.max(axis=1) > 0)
 
 
 class TestStftPower:
@@ -305,6 +306,9 @@ class TestFeatureCache:
         {"frames": True, "dims": 0, "frame_rate": 1.0},
         {"frames": 0, "dims": 0, "frame_rate": None},
         [0, 0, 1.0],
+        # each was returned as the frame rate
+        *({"frames": 0, "dims": 0, "frame_rate": rate}
+          for rate in (float("nan"), float("inf"), -float("inf"), 0, -5, 10 ** 400)),
     ])
     def test_missing_or_mistyped_header_field_is_format_error(self, tmp_path, header):
         with pytest.raises(FormatError):
@@ -347,18 +351,6 @@ class TestFeatureConfigValidation:
         with pytest.raises(ConfigError):
             FeatureConfig(context_frames=4)
 
-    def test_bad_fmax(self):
-        cfg = FeatureConfig(fmax=20000.0)
-        with pytest.raises(ConfigError):
-            cfg.effective_fmax(22050)
-
-    @pytest.mark.parametrize("field", ["log_floor", "mel_break_hz"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
-    def test_floor_and_mel_break_must_be_finite_and_positive(self, field, value):
-        # a NaN log_floor wrote all-NaN features, and a NaN or negative
-        # mel_break_hz was reported as a mel filter with zero support
-        with pytest.raises(ConfigError, match=f"{field} must be a finite number > 0"):
-            FeatureConfig(**{field: value})
 
 
 class TestFrameCountsFromHeaders:
@@ -374,7 +366,7 @@ class TestFrameCountsFromHeaders:
         PCM16, float32 and WAVE_FORMAT_EXTENSIBLE; odd chunks before the data;
         a data chunk cut short of its declared size; with and without resampling."""
         rate, target = rates
-        cfg = FeatureConfig(n_fft=256, hop=64, n_mels=8, fmax=3500.0)
+        cfg = FeatureConfig(n_fft=256, hop=64, n_mels=8)
         rng = np.random.default_rng(n)
         if encoding == "pcm16":
             data = rng.integers(-32768, 32768, (n, channels)).astype("<i2")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import aad.models
 from aad.errors import ContractError, FormatError, ShapeError, SpecError
-from aad.features import FeatureMatrix
+from aad.features import FeatureConfig, FeatureMatrix
 from aad.models import (
     MODEL_KINDS,
     LatentDistribution,
@@ -24,7 +24,8 @@ from aad.models import (
     vae_loss,
 )
 from aad.tensor import Tensor, adam_step, backward, init_adam, zero_grads
-from conftest import assert_grads_close, finite_diff_grad, with_contract, write_version_1
+from conftest import (assert_grads_close, finite_diff_grad, reseal, with_contract,
+                      write_version_1, write_with_retired_features)
 
 
 def feature_matrix(frames=40, dims=16, seed=0):
@@ -214,7 +215,8 @@ def reparameterize_reference(ld, noise):
 def vae_loss_reference(x, x_hat, ld):
     """The VAE objective composed of elementwise ops, kept as the bit-level oracle."""
     batch = x.shape[0] if x.data.ndim > 1 else 1
-    recon = (x - x_hat).sum_squares() * (0.5 / batch)
+    d = x - x_hat
+    recon = (d * d).sum() * (0.5 / batch)
     if ld is None:
         kl = Tensor(np.asarray(0.0, dtype=x.dtype))
     else:
@@ -280,7 +282,7 @@ class TestFusedLossMatchesComposedGraph:
 
     def test_loss_keeps_four_tape_nodes(self):
         """The objective puts recon, kl, their sum and the sample z on the tape,
-        where the composed graph puts 15 nodes."""
+        where the composed graph puts 16 nodes."""
         rng = np.random.default_rng(6)
         x, mu, lv = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3))
         ld = LatentDistribution(mu, lv)
@@ -298,7 +300,7 @@ class TestFusedLossMatchesComposedGraph:
         assert tape_ops(vae_loss(x, reparameterize(ld, noise), ld).total) == [
             "add", "kl", "recon", "reparameterize"]
         assert len(tape_ops(vae_loss_reference(
-            x, reparameterize_reference(ld, noise), ld).total)) == 15
+            x, reparameterize_reference(ld, noise), ld).total)) == 16
 
     def test_latent_shapes_that_differ_are_rejected(self):
         with pytest.raises(ShapeError, match="log_var shape"):
@@ -514,14 +516,51 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key,held", [("n_mels", "(5, 3)"), ("context_frames", "(8, 5)")])
     def test_features_unlike_the_spec_are_format_error(self, tmp_path, key, held):
-        model = self._small_model("dense_ae")  # 8 mels, 3 context frames
-        setattr(model.features, key, 5)
         path = tmp_path / "m.aadm"
-        checkpoint_save(model, path)
+        checkpoint_save(self._small_model("dense_ae"), path)  # 8 mels, 3 context frames
+        reseal(path, lambda header: header["features"].update({key: 5}))
         with pytest.raises(FormatError) as info:
             checkpoint_load(path)
         assert str(info.value).endswith(
             f"features give (n_mels, context_frames) {held}, the spec (8, 3)")
+
+    def test_save_of_features_unlike_the_spec_leaves_the_old_file(self, tmp_path):
+        # the save wrote a file that no load accepted: default context_frames
+        # 11 against the spec's 5
+        path = tmp_path / "m.aadm"
+        checkpoint_save(self._small_model("dense_ae"), path)
+        old = path.read_bytes()
+        model = build(default_spec("dense_ae", n_mels=8, hidden=(16,), bottleneck=4))
+        model.features, model.sample_rate = FeatureConfig(n_mels=8), 16000
+        with pytest.raises(ContractError, match=r"\(8, 11\), the spec \(8, 5\)"):
+            checkpoint_save(model, path)
+        assert path.read_bytes() == old
+
+    @pytest.mark.parametrize("values", [{}, {"fmin": 0}])
+    def test_file_with_the_retired_feature_fields_loads(self, tmp_path, values):
+        model = self._small_model("tcn_cvae")
+        model.set_normalization(np.full(8, -40.0), np.full(8, 9.0))
+        path = tmp_path / "m.aadm"
+        checkpoint_save(model, path)
+        write_with_retired_features(path, **values)
+        assert b'"slaney_norm": false' in path.read_bytes()
+        back = checkpoint_load(path)
+        assert (back.features, back.sample_rate) == (model.features, model.sample_rate)
+        assert [p.data.tobytes() for p in back.params] == [p.data.tobytes()
+                                                            for p in model.params]
+        assert (back.feature_mean.tobytes(), back.feature_std.tobytes()) == \
+            (model.feature_mean.tobytes(), model.feature_std.tobytes())
+
+    @pytest.mark.parametrize("key,value", [("slaney_norm", True), ("fmax", 8000.0),
+                                           ("log_floor", 1e-3), ("mel_break_hz", "700"),
+                                           ("slaney_norm", 0)])
+    def test_retired_feature_field_at_another_value_is_format_error(self, tmp_path, key,
+                                                                    value):
+        path = tmp_path / "m.aadm"
+        checkpoint_save(self._small_model(), path)
+        write_with_retired_features(path, **{key: value})
+        with pytest.raises(FormatError, match=f"bad header: features.{key} is {value!r}"):
+            checkpoint_load(path)
 
     @pytest.mark.parametrize("where", ["param", "mean", "std"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -566,13 +605,8 @@ class TestCheckpoint:
         # was numpy's ValueError from the feature buffers
         path = tmp_path / "m.aadm"
         checkpoint_save(self._small_model(), path)
-        raw = path.read_bytes()
-        hlen = struct.unpack_from("<I", raw, 8)[0]
-        header = raw[12:12 + hlen]
-        assert header.count(b'"n_mels": 8,') == 2
-        header = header.replace(b'"n_mels": 8,', b'"n_mels": %d,' % 2 ** 62)
-        body = raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + hlen:-4]
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        reseal(path, lambda header: [header[part].update(n_mels=2 ** 62)
+                                     for part in ("spec", "features")])
         with pytest.raises(FormatError, match=r"no array of shape \(%d,\)" % 2 ** 62):
             checkpoint_load(path)
 

@@ -30,8 +30,11 @@ class TestAnomalyScore:
         xr = np.zeros((2, 2))
         assert anomaly_score(xa, xr) == 3.0  # frame errors 2 and 4, averaged
 
-    def test_one_dim_vectors_accepted(self):
-        assert anomaly_score(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == 5.0
+    @pytest.mark.parametrize("shape", [(2,), (2, 3, 4), ()])
+    def test_rows_that_are_not_two_dimensional_are_shape_error(self, shape):
+        # (2, 3, 4) ones against zeros scored 3.0
+        with pytest.raises(ShapeError, match="not one \\(frames, dims\\) shape"):
+            anomaly_score(np.ones(shape), np.zeros(shape))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

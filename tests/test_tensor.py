@@ -319,7 +319,7 @@ class TestBackward:
     def test_interior_grads_are_dropped_and_leaves_keep_theirs(self):
         x, w, b = leaf(np.ones((2, 3))), leaf(np.ones((3, 2))), leaf(np.zeros(2))
         h = dense(x, w, b).relu()
-        loss = (h * h).sum() + h.sum_squares()
+        loss = (h * h).sum() + h.sum()
         backward(loss)
         tape, stack = {}, [loss]
         while stack:
@@ -328,19 +328,9 @@ class TestBackward:
                 tape[id(node)] = node
                 stack.extend(node._parents)
         assert sorted(n.op for n in tape.values()) == [
-            "add", "dense", "mul", "relu", "sum", "sum_squares"]
+            "add", "dense", "mul", "relu", "sum", "sum"]
         assert all(node.grad is None for node in tape.values())
         assert all(p.grad is not None for p in (x, w, b))
-
-    def test_sum_squares_equals_product_sum_bit_for_bit(self):
-        rng = np.random.default_rng(3)
-        xd = rng.normal(size=(4, 5, 6)).astype(np.float32)
-        x1, x2 = Tensor(xd, requires_grad=True), Tensor(xd, requires_grad=True)
-        s1, s2 = (x1 * x1).sum() * 0.25, x2.sum_squares() * 0.25
-        backward(s1)
-        backward(s2)
-        assert s1.data.tobytes() == s2.data.tobytes()
-        assert x1.grad.tobytes() == x2.grad.tobytes()
 
     def test_diamond_graph(self):
         x = leaf([2.0])

@@ -17,6 +17,7 @@ import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -127,14 +128,50 @@ def mel_filterbank(config: FeatureConfig, sample_rate: int) -> np.ndarray:
     return fb
 
 
+@cache
 def _hann(n: int) -> np.ndarray:
-    # periodic Hann, the standard STFT analysis window
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    # periodic Hann, the standard STFT analysis window; cached, so read-only
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    w.flags.writeable = False
+    return w
 
 
 def frame_count(n_samples: int, config: FeatureConfig) -> int:
     """Frames valid-mode framing makes of n samples: 1 + floor((n - n_fft) / hop)."""
     return max(1 + (n_samples - config.n_fft) // config.hop, 0)
+
+
+def _frames(x: np.ndarray, config: FeatureConfig, n_frames: int) -> np.ndarray:
+    """The first n_frames valid-mode frames of x, a (n_frames, n_fft) strided view."""
+    n_fft, hop = config.n_fft, config.hop
+    return np.lib.stride_tricks.sliding_window_view(x[:(n_frames - 1) * hop + n_fft],
+                                                    n_fft)[::hop]
+
+
+def _power_rows(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|rfft(frame * Hann)|^2 of each row of ``frames``, written to ``out`` if given.
+
+    float32 samples go straight into the float64 product, which is exact.
+    Each row's bits are the same however the rows are grouped into calls.
+    """
+    with np.errstate(invalid="ignore"):  # a non-finite sample gives NaN power, quietly
+        spec = np.fft.rfft(frames * _hann(frames.shape[1]), axis=1)
+        power = np.abs(spec, out=out)
+    return np.multiply(power, power, out=power)
+
+
+def _power_db(power: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
+    """float32 10*log10(max(power @ filterbank.T, LOG_FLOOR)).
+
+    The product must be taken over a window's whole power matrix at once:
+    a matrix product's bits change with the number of rows it is given.
+    """
+    with np.errstate(invalid="ignore"):
+        mel_power = power @ filterbank.T
+    np.maximum(mel_power, LOG_FLOOR, out=mel_power)
+    np.log10(mel_power, out=mel_power)
+    mel_power *= 10.0
+    return mel_power.astype(np.float32)
 
 
 def stft_power(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
@@ -143,16 +180,14 @@ def stft_power(clip: AudioClip, config: FeatureConfig) -> np.ndarray:
     Valid-mode framing: frames = 1 + floor((len - n_fft) / hop), no
     center padding, so streaming and offline extraction agree exactly.
     """
-    x = np.asarray(clip.samples, dtype=np.float64)
+    x = np.asarray(clip.samples)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     if x.ndim != 1:
         raise ContractError("clip samples must be 1-D mono")
-    n_fft, hop = config.n_fft, config.hop
-    if len(x) < n_fft:
-        raise TooShortError(f"clip has {len(x)} samples, need >= {n_fft}")
-    n_frames = frame_count(len(x), config)
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop][:n_frames]
-    spec = np.fft.rfft(frames * _hann(n_fft), axis=1)
-    return np.abs(spec) ** 2
+    if len(x) < config.n_fft:
+        raise TooShortError(f"clip has {len(x)} samples, need >= {config.n_fft}")
+    return _power_rows(_frames(x, config, frame_count(len(x), config)))
 
 
 def log_mel(clip: AudioClip, config: FeatureConfig,
@@ -161,13 +196,10 @@ def log_mel(clip: AudioClip, config: FeatureConfig,
 
     Pass a precomputed ``filterbank`` to amortize construction across clips.
     """
-    with np.errstate(invalid="ignore"):  # a non-finite sample gives NaN features, quietly
-        power = stft_power(clip, config)
-        if filterbank is None:
-            filterbank = mel_filterbank(config, clip.sample_rate)
-        mel_power = power @ filterbank.T
-    db = 10.0 * np.log10(np.maximum(mel_power, LOG_FLOOR))
-    return FeatureMatrix(data=db.astype(np.float32),
+    power = stft_power(clip, config)
+    if filterbank is None:
+        filterbank = mel_filterbank(config, clip.sample_rate)
+    return FeatureMatrix(data=_power_db(power, filterbank),
                          frame_rate=clip.sample_rate / config.hop)
 
 
@@ -188,6 +220,12 @@ def stream_windows(chunks: Iterable[np.ndarray], sample_rate: int,
     Each emitted window equals log_mel applied to the same offline slice,
     bit for bit. A hop longer than the window skips the samples between
     windows. A final partial window is dropped.
+
+    A window's power rows are computed as its samples arrive, so once its
+    last sample is read only the rows that hold it, the mel projection
+    and the dB step are left. The rows go into one float64 buffer, reused
+    from window to window, that grows with the rows read: a window far
+    longer than the input reserves no whole matrix.
     """
     win = int(round(window_s * sample_rate))
     hop = int(round(hop_s * sample_rate))
@@ -196,6 +234,9 @@ def stream_windows(chunks: Iterable[np.ndarray], sample_rate: int,
     if hop < 1:
         raise ConfigError("hop_s must be positive")
     fb = mel_filterbank(config, sample_rate)
+    n_frames = frame_count(win, config)
+    rows = np.empty((0, config.n_fft // 2 + 1))
+    done = 0  # rows of the next window already in rows[:done]
     buf = np.empty(0, dtype=np.float32)
     consumed = 0  # samples dropped off the front of buf
     skip = 0  # samples of a hop longer than buf still to drop from the input
@@ -204,17 +245,28 @@ def stream_windows(chunks: Iterable[np.ndarray], sample_rate: int,
         drop = min(skip, len(chunk))
         skip -= drop
         buf = np.concatenate([buf, chunk[drop:]])
-        while len(buf) >= win:
-            start = consumed
-            clip = AudioClip(samples=buf[:win], sample_rate=sample_rate)
+        while True:
+            ready = min(frame_count(len(buf), config), n_frames)
+            if ready > done:
+                if ready > len(rows):
+                    grown = np.empty((min(max(ready, 2 * len(rows)), n_frames), rows.shape[1]))
+                    grown[:done] = rows[:done]
+                    rows = grown
+                frames = _frames(buf[done * config.hop:], config, ready - done)
+                _power_rows(frames, out=rows[done:ready])
+                done = ready
+            if len(buf) < win:
+                break
             yield StreamWindow(
-                start_s=start / sample_rate,
-                end_s=(start + win) / sample_rate,
-                features=log_mel(clip, config, filterbank=fb),
+                start_s=consumed / sample_rate,
+                end_s=(consumed + win) / sample_rate,
+                features=FeatureMatrix(data=_power_db(rows, fb),
+                                       frame_rate=sample_rate / config.hop),
             )
             skip = max(hop - len(buf), 0)
             buf = buf[hop:]
             consumed += hop
+            done = 0
 
 
 def save_features(fm: FeatureMatrix, path: str | Path,

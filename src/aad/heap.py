@@ -22,7 +22,8 @@ def keep_freed_memory() -> None:
     """Fix glibc malloc's thresholds at the ceiling of its own dynamic adjustment.
 
     Training frees each step's tape and gradients as soon as they are used,
-    and ``aad stream`` frees about 1.3 MB of STFT temporaries per window.
+    and ``aad stream`` frees about 0.9 MB of STFT temporaries per window,
+    most of them while it computes the next window's frames.
     With thresholds that follow the largest block a run happens to have
     freed, malloc hands that memory back to the OS after a step or window
     and faults it in again in the next: tens of thousands of page faults per

@@ -88,6 +88,9 @@ class ModelSpec:
         if self.kind in ("cae", "cvae"):
             if not self.conv_channels:
                 raise SpecError("conv models need at least one channel stage")
+            if self.kernel % 2 == 0:
+                raise SpecError(f"kernel={self.kernel} must be odd: {self.kind} "
+                                "convolutions are centered")
             down = 2 ** len(self.conv_channels)
             if self.window_frames % down != 0:
                 raise SpecError(

@@ -13,6 +13,7 @@ scalars; there is deliberately no general broadcasting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -190,6 +191,27 @@ def _tap_slices(s: int, t: int) -> tuple[slice, slice]:
     return slice(max(s, 0), t + min(s, 0)), slice(max(-s, 0), t - max(s, 0))
 
 
+@cache
+def _tap_plan(k: int, dilation: int, t: int, causal: bool) -> tuple:
+    """The taps of a conv that read any input, and the order the forward pass sums them in.
+
+    Returns (taps, first, rest): taps is every (j, (out slice, in slice)) in
+    tap order, which the backward pass uses; the forward pass starts from
+    the product of tap ``first`` (None: from zeros) and adds ``rest`` in
+    order. It starts from the anchor tap, the unshifted one, when at most
+    one tap that reads input comes before it, so that every output sums
+    the same terms in the same order as zeros + taps in tap order: x + y
+    is y + x, 0 + x is x, and a GEMM never returns -0.0.
+    """
+    anchor = 0 if causal else (k - 1) // 2
+    shifts = [(j, (j - anchor) * dilation) for j in range(k)]
+    taps = tuple((j, _tap_slices(s, t)) for j, s in shifts if abs(s) < t)
+    js = [j for j, _ in taps]
+    if anchor not in js or js.index(anchor) > 1:
+        return taps, None, taps
+    return taps, anchor, tuple(tap for tap in taps if tap[0] != anchor)
+
+
 def _channels_major(a: np.ndarray) -> np.ndarray:
     """(batch, ch, T) -> contiguous (ch, batch, T), the layout of the tap GEMMs."""
     return np.ascontiguousarray(a.transpose(1, 0, 2))
@@ -203,36 +225,43 @@ def conv1d_causal(x: Tensor, w: Tensor, dilation: int = 1,
     x is (batch, in_ch, T), w is (out_ch, in_ch, k). In causal mode the
     input is left zero-padded by (k-1)*dilation, so
     y(t) = sum_j w(j) * x(t - j*dilation) and no output reads the future.
-    With causal=False the taps are centered (odd k), for decoders that
-    reconstruct complete windows. With ``relu`` the output is max(y, 0),
-    applied in place after the bias, and the backward mask is read from
-    that output, so the tape keeps one array per layer where
+    With causal=False the taps are centered, for decoders that reconstruct
+    complete windows; k must then be odd. With ``relu`` the output is
+    max(y, 0), applied in place after the bias, and the backward mask is
+    read from that output, so the tape keeps one array per layer where
     ``conv1d_causal(...).relu()`` keeps two; values and gradients equal
     that composition's.
 
     Each tap is one GEMM over the (in_ch, batch*T) view of the input whose
     product is added at the tap's time shift; a tap shifted by T or more
-    reads only padding and is skipped. The backward pass recomputes that
-    view rather than keeping it alive. It takes the bias and weight
-    gradients first, drops each channel-major copy as soon as its GEMMs
-    are done, and hands the input gradient to a parent that has none.
+    reads only padding and is skipped. The sum starts from the GEMM of the
+    anchor tap (the unshifted one: the first in causal mode, the middle in
+    centered mode), which covers every output, so a 1-tap conv is a single
+    GEMM; the bits equal those of zeros plus every tap in tap order (see
+    ``_tap_plan``). The backward pass recomputes that view rather than
+    keeping it alive. It takes the bias and weight gradients first, drops
+    each channel-major copy as soon as its GEMMs are done, and hands the
+    input gradient to a parent that has none.
     """
     if dilation < 1:
         raise ContractError("dilation must be >= 1")
     if x.data.ndim != 3 or w.data.ndim != 3 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d: shapes {x.shape} and {w.shape} do not agree")
     out_ch, in_ch, k = w.shape
+    if not causal and k % 2 == 0:
+        raise ContractError(f"a centered conv needs an odd kernel, got k={k}")
     if bias is not None and bias.shape != (out_ch,):
         raise ShapeError(f"conv1d: bias shape {bias.shape} != ({out_ch},)")
     batch, _, t = x.shape
-    anchor = 0 if causal else (k - 1) // 2
-    taps = [(j, (j - anchor) * dilation) for j in range(k)]
-    taps = [(j, _tap_slices(s, t)) for j, s in taps if abs(s) < t]
+    taps, first, rest = _tap_plan(k, dilation, t, causal)
     xd, wd = x.data, w.data
 
     xc = _channels_major(xd).reshape(in_ch, batch * t)
-    yc = np.zeros((out_ch, batch, t), dtype=xd.dtype)
-    for j, (o, i) in taps:
+    if first is None:
+        yc = np.zeros((out_ch, batch, t), dtype=xd.dtype)
+    else:
+        yc = (wd[:, :, first] @ xc).reshape(out_ch, batch, t).astype(xd.dtype, copy=False)
+    for j, (o, i) in rest:
         yc[:, :, o] += (wd[:, :, j] @ xc).reshape(out_ch, batch, t)[:, :, i]
     del xc
     if bias is not None:

@@ -213,6 +213,18 @@ class TestStream:
         assert "(0 windows, 0 invalid, 1.0 s audio in " in summary
         assert summary.endswith(" s)")
 
+    def test_window_far_longer_than_the_input_reserves_nothing(self, workspace, tmp_path):
+        # a whole 1e7 s window of power rows would be over a terabyte
+        raw = tmp_path / "audio.f32"
+        raw.write_bytes(np.random.default_rng(7).normal(0, 0.1, 3 * 16000)
+                        .astype("<f4").tobytes())
+        args = [*map(str, stream_args(workspace)), "--input", str(raw), "--window-s", "1e7"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(args)
+        assert rc == 0 and out.getvalue() == ""
+        assert "(0 windows, 0 invalid, 3.0 s audio in " in err.getvalue()
+
     @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                         reason="malloc thresholds are a glibc setting")
     def test_extra_windows_fault_in_no_fresh_memory(self, workspace, tmp_path):

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,52 @@ class TestStreamWindows:
             assert (w.start_s, w.end_s) == (k * hop / sr, (k * hop + win) / sr)
             offline = log_mel(AudioClip(x[k * hop:k * hop + win], sr), cfg)
             np.testing.assert_array_equal(w.features.data, offline.data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 12000),
+           sizes=st.lists(st.sampled_from([1, 1024, 4001, 9001]) | st.integers(1, 9001),
+                          min_size=1, max_size=4),
+           hop=st.integers(97, 9000), nan_at=st.none() | st.integers(0, 11999))
+    @example(n=12000, sizes=[1], hop=1000, nan_at=None)
+    @example(n=12000, sizes=[1024], hop=4500, nan_at=3000)  # a hop longer than the window
+    @example(n=12000, sizes=[9001], hop=300, nan_at=5000)  # chunks longer than a window
+    def test_rows_computed_ahead_match_offline_and_stay_put(self, n, sizes, hop, nan_at):
+        # a 4000-sample window is no whole number of 256-sample frame hops,
+        # and most hops are none either, so no window's frames line up with
+        # the previous window's
+        sr, win = 16000, 4000
+        cfg = FeatureConfig(n_fft=512, hop=256, n_mels=16, context_frames=3)
+        x = np.random.default_rng(n).normal(0, 0.2, n).astype(np.float32)
+        if nan_at is not None and nan_at < n:
+            x[nan_at] = np.nan
+
+        def chunks():
+            start, i = 0, 0
+            while start < n:
+                yield x[start:start + sizes[i % len(sizes)]]
+                start += sizes[i % len(sizes)]
+                i += 1
+
+        # each window's features as yielded, before the generator runs on
+        seen = [(w, w.features.data.copy()) for w in
+                stream_windows(chunks(), sr, cfg, win / sr, hop / sr)]
+        assert len(seen) == ((n - win) // hop + 1 if n >= win else 0)
+        for k, (w, at_yield) in enumerate(seen):
+            offline = log_mel(AudioClip(x[k * hop:k * hop + win], sr), cfg)
+            assert w.features.data.tobytes() == at_yield.tobytes() == offline.data.tobytes()
+
+    def test_window_far_longer_than_the_input_holds_only_the_rows_read(self):
+        # a whole 10^4 s window of power rows would be 1.3 GB
+        sr, cfg = 16000, FeatureConfig(**SMALL)
+        x = np.random.default_rng(3).normal(0, 0.1, 3 * sr).astype(np.float32)
+        tracemalloc.start()
+        try:
+            wins = list(stream_windows(self._chunks(x, 1024), sr, cfg, 1e4, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wins == []
+        assert peak < 8e6, f"{peak / 1e6:.1f} MB at peak"
 
     def test_window_smaller_than_nfft_rejected(self):
         with pytest.raises(ConfigError):

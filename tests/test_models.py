@@ -70,6 +70,12 @@ class TestBuild:
             ModelSpec(kind="cae", n_mels=16, window_frames=12,
                       conv_channels=(8, 16, 32))  # 12 not divisible by 8
 
+    @pytest.mark.parametrize("kind", ["cae", "cvae"])
+    def test_even_kernel_of_a_centered_conv_model_rejected(self, kind):
+        with pytest.raises(SpecError, match="kernel=4 must be odd"):
+            default_spec(kind, n_mels=16, kernel=4)
+        assert default_spec("tcn_cvae", n_mels=16, kernel=4).kernel == 4  # causal taps
+
     @pytest.mark.parametrize("kind,field,value", [
         ("cae", "window_frames", 0),  # divisible by every stride
         ("tcn_cvae", "tcn_channels", 0), ("tcn_cvae", "latent_dim", -1),

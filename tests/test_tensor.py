@@ -38,6 +38,24 @@ def conv_by_tap_loop(x, w, b, dilation, causal):
     return y
 
 
+def conv_from_zeros(xd, wd, bd, dilation, causal):
+    """A zero buffer plus each tap's GEMM, in tap order: the bit-level oracle
+    of ``conv1d_causal``'s forward pass, which starts from the anchor tap.
+    """
+    out_ch, in_ch, k = wd.shape
+    batch, _, t = xd.shape
+    anchor = 0 if causal else (k - 1) // 2
+    xc = np.ascontiguousarray(xd.transpose(1, 0, 2)).reshape(in_ch, batch * t)
+    yc = np.zeros((out_ch, batch, t), dtype=xd.dtype)
+    for j in range(k):
+        s = (j - anchor) * dilation
+        if abs(s) < t:
+            o, i = slice(max(s, 0), t + min(s, 0)), slice(max(-s, 0), t - max(s, 0))
+            yc[:, :, o] += (wd[:, :, j] @ xc).reshape(out_ch, batch, t)[:, :, i]
+    yc += bd[:, None, None]
+    return np.ascontiguousarray(yc.transpose(1, 0, 2))
+
+
 class TestDense:
     def test_scalar_chain_rule(self):
         x, w, b = leaf([[3.0]]), leaf([[2.0]]), leaf([0.0])
@@ -160,6 +178,31 @@ class TestConv1dCausal:
                               bias=Tensor(bd), causal=causal)
             expected = conv_by_tap_loop(xd, wd, bd, dilation, causal)
             np.testing.assert_allclose(y.data, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_centered_needs_an_odd_kernel(self, k):
+        x, w = leaf(np.zeros((1, 2, 8))), leaf(np.zeros((3, 2, k)))
+        with pytest.raises(ContractError, match="odd"):
+            conv1d_causal(x, w, causal=False)
+        assert conv1d_causal(x, w, causal=True).shape == (1, 3, 8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([1, 3, 64]), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 24), st.sampled_from([1, 2, 3, 5]), st.integers(1, 30),
+           st.booleans())
+    def test_forward_equals_the_zero_start_loop_bit_for_bit(self, data, batch, cin, cout, t,
+                                                           k, dilation, causal):
+        # dilations up to 30 at T <= 24 put taps partly and wholly outside T;
+        # k=5 centered has two taps before the anchor, so it starts from zeros
+        causal = causal or k % 2 == 0
+        xd = data.draw(_f32((batch, cin, t)))
+        wd = data.draw(_f32((cout, cin, k)))
+        bd = data.draw(_f32((cout,)))
+        y = conv1d_causal(Tensor(xd), Tensor(wd), dilation=dilation, bias=Tensor(bd),
+                          causal=causal)
+        expected = conv_from_zeros(xd, wd, bd, dilation, causal)
+        assert y.data.dtype == np.float32
+        assert y.data.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("causal,dilation", [(True, 8), (True, 13), (False, 8)])
     def test_gradients_with_taps_beyond_the_window(self, causal, dilation):

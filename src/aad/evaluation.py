@@ -210,28 +210,22 @@ def markdown_table(reports: Sequence[EvalReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: EvalReport | Sequence[EvalReport], fmt: str,
-                path: str | Path) -> None:
-    """Write a report as json, csv, or markdown (markdown accepts merged lists)."""
-    reports = [report] if isinstance(report, EvalReport) else list(report)
+def emit_report(report: EvalReport, fmt: str, path: str | Path) -> None:
+    """Write one report as json, csv, or markdown (``markdown_table`` merges several)."""
     path = Path(path)
     if fmt == "json":
-        if len(reports) != 1:
-            raise ContractError("json format takes a single report")
-        path.write_text(report_to_json(reports[0]))
+        path.write_text(report_to_json(report))
     elif fmt == "csv":
-        if len(reports) != 1:
-            raise ContractError("csv format takes a single report")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["machine_type", "machine_id", "auc", "pauc"])
-            for m in reports[0].machines:
+            for m in report.machines:
                 for i in m.ids:
                     writer.writerow([m.machine_type, i.machine_id,
                                      _fmt(i.auc), _fmt(i.pauc)])
                 writer.writerow([m.machine_type, "avg",
                                  _fmt(m.avg_auc), _fmt(m.avg_pauc)])
     elif fmt == "markdown":
-        path.write_text(markdown_table(reports))
+        path.write_text(markdown_table([report]))
     else:
         raise ContractError(f"unknown report format {fmt!r}")

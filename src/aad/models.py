@@ -45,10 +45,11 @@ MODEL_KINDS = ("dense_ae", "cae", "cvae", "tcn_cvae")
 
 _DTYPE = np.float32
 _STATS_ROWS = 1024  # frames per float64 chunk of the normalization sums
-# former FeatureConfig fields, each fixed at the one value every earlier file
-# holds; a version 2 header may still name them, at that value only
+# former FeatureConfig and ModelSpec fields, each fixed at the one value every
+# earlier file holds; a header may still name them, at that value only
 _RETIRED_FEATURES = {"fmin": 0.0, "fmax": None, "log_floor": LOG_FLOOR,
                      "mel_break_hz": MEL_BREAK_HZ, "slaney_norm": False}
+_RETIRED_SPEC = {"normalize": True}
 
 
 @dataclass
@@ -67,7 +68,6 @@ class ModelSpec:
     tcn_layers: int = 6
     kernel: int = 3
     tcn_channels: int = 64
-    normalize: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -80,7 +80,7 @@ class ModelSpec:
         if self.kind not in MODEL_KINDS:
             raise SpecError(f"unknown model kind {self.kind!r}")
         for f in fields(self):  # every size, and each layer's width, is >= 1
-            if f.name in ("kind", "normalize", "seed"):
+            if f.name in ("kind", "seed"):
                 continue
             value = getattr(self, f.name)
             if min(value if isinstance(value, tuple) else (value,), default=1) < 1:
@@ -328,8 +328,6 @@ class Model:
         self.feature_std = np.maximum(np.asarray(std, dtype=_DTYPE), 1e-3)
 
     def _norm(self, x: np.ndarray) -> np.ndarray:
-        if not self.spec.normalize:
-            return np.asarray(x, dtype=_DTYPE)
         mean, std = self.feature_mean, self.feature_std
         if x.ndim == 3:  # (windows, mels, T); else (rows, dims)
             mean, std = mean[:, None], std[:, None]
@@ -338,8 +336,6 @@ class Model:
         return y.astype(_DTYPE, copy=False)
 
     def _denorm(self, x: np.ndarray) -> np.ndarray:
-        if not self.spec.normalize:
-            return x
         if x.ndim == 2:
             return x * self.feature_std + self.feature_mean
         return x * self.feature_std[None, :, None] + self.feature_mean[None, :, None]
@@ -405,11 +401,12 @@ class Model:
                                       - np.bincount(starts + hi, minlength=n + 1))[:n]
                             for lo, hi in groups]).astype(np.float64)
         total = np.zeros((2, len(groups), frames.shape[1]))
-        for lo in range(0, n, _STATS_ROWS):
+        for lo in range(0, n, _STATS_ROWS):  # one float64 chunk held at a time
             x = frames[lo:lo + _STATS_ROWS].astype(np.float64)
             w = weights[:, lo:lo + _STATS_ROWS]
             total[0] += w @ x
-            total[1] += w @ (x * x)
+            total[1] += w @ np.multiply(x, x, out=x)
+            del x
         mean, mean_sq = total / weights.sum(axis=1)[:, None]
         std = np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
         self.set_normalization(mean.ravel(), std.ravel())
@@ -493,14 +490,15 @@ class DenseAutoencoder(Model):
 class ConvAutoencoder(Model):
     """Convolutional AE over (mels, T) windows; optional variational heads.
 
-    Encoder stages are centered k=3 convolutions with a stride-2 analog
-    (keep every other frame); the decoder mirrors with repeat-upsampling.
+    Encoder stages are centered convolutions of ``spec.kernel`` taps with a
+    stride-2 analog (keep every other frame); the decoder mirrors with
+    repeat-upsampling.
     """
 
     def __init__(self, spec: ModelSpec, stored=None):
         super().__init__(spec, stored)
         chans = [spec.n_mels, *spec.conv_channels]
-        k = 3
+        k = spec.kernel
         self.enc = []
         for cin, cout in zip(chans[:-1], chans[1:]):
             w = self._param((cout, cin, k), fan_in=cin * k)
@@ -622,8 +620,7 @@ def checkpoint_save(model: Model, path: str | Path) -> None:
     _check_contract(model.features, model.spec)
     blob = json.dumps({"spec": asdict(model.spec), "features": asdict(model.features),
                        "sample_rate": model.sample_rate}, sort_keys=True).encode("utf-8")
-    arrays = [*(p.data for p in model.params),
-              *((model.feature_mean, model.feature_std) if model.spec.normalize else ())]
+    arrays = [*(p.data for p in model.params), model.feature_mean, model.feature_std]
     head = CHECKPOINT_MAGIC + struct.pack("<2I", CHECKPOINT_VERSION, len(blob)) + blob
     crc = zlib.crc32(head)
     Path(path).unlink(missing_ok=True)
@@ -644,17 +641,24 @@ def _check_contract(features: FeatureConfig, spec: ModelSpec) -> None:
         raise ContractError(f"features give (n_mels, context_frames) {held}, the spec {built}")
 
 
-def _contract(header: dict, spec: ModelSpec) -> tuple[FeatureConfig, int]:
-    """The features and sample rate a version 2 header holds, checked against its spec."""
-    held = {**header["features"]}
-    for key, fixed in _RETIRED_FEATURES.items():
+def _drop_retired(header: dict, section: str, retired: dict) -> dict:
+    """A header section without its retired keys, each of which it may hold at
+    its fixed value only (ConfigError otherwise)."""
+    held = {**header[section]}
+    for key, fixed in retired.items():
         value = held.pop(key, fixed)
         try:
             same = conform(value, type(fixed)) == fixed
         except TypeError:
             same = False
         if not same:
-            raise ConfigError(f"features.{key} is {value!r}; only {fixed!r} is supported")
+            raise ConfigError(f"{section}.{key} is {value!r}; only {fixed!r} is supported")
+    return held
+
+
+def _contract(header: dict, spec: ModelSpec) -> tuple[FeatureConfig, int]:
+    """The features and sample rate a version 2 header holds, checked against its spec."""
+    held = _drop_retired(header, "features", _RETIRED_FEATURES)
     hints = field_hints(FeatureConfig)
     features = FeatureConfig(**{k: conform(v, hints[k]) for k, v in held.items()})
     rate = header["sample_rate"]
@@ -670,8 +674,8 @@ def checkpoint_load(path: str | Path) -> Model:
     The model is built from the stored tensors, with no random init. A
     version 2 file also gives the model its ``features`` and ``sample_rate``;
     a version 1 file leaves them None. A CRC32 that does not match, a
-    malformed file, features unlike the spec, a former feature field at a
-    value other than its fixed one, a shape unlike the spec's and a
+    malformed file, features unlike the spec, a former feature or spec field
+    at a value other than its fixed one, a shape unlike the spec's and a
     non-finite value are FormatError.
     """
     with open(path, "rb") as fh:
@@ -689,7 +693,7 @@ def checkpoint_load(path: str | Path) -> Model:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(str(buf[12:12 + hlen], "utf-8"))
-        spec = ModelSpec(**header["spec"])
+        spec = ModelSpec(**_drop_retired(header, "spec", _RETIRED_SPEC))
         features, rate = _contract(header, spec) if version == 2 else (None, None)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError,
             AttributeError, SpecError, ConfigError, ContractError) as exc:
@@ -709,9 +713,8 @@ def checkpoint_load(path: str | Path) -> Model:
         model = build(spec, stored)
     except SpecError as exc:  # a size numpy cannot make an array of
         raise FormatError(f"{path}: {exc}") from None
-    if spec.normalize:
-        dims = model.feature_mean.shape
-        model.feature_mean, model.feature_std = stored(dims), stored(dims)
+    dims = model.feature_mean.shape
+    model.feature_mean, model.feature_std = stored(dims), stored(dims)
     if off != len(buf):
         raise FormatError(f"{path}: trailing bytes after tensors")
     model.features, model.sample_rate = features, rate

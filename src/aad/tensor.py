@@ -103,9 +103,6 @@ class Tensor:
         return _unary(self, "reshape", out_data,
                       lambda g: g.reshape(self.data.shape))
 
-    def backward(self) -> None:
-        backward(self)
-
 
 def _unary(a: Tensor, op: str, out_data: np.ndarray, grad_fn) -> Tensor:
     out = Tensor(out_data, requires_grad=a.requires_grad, op=op, _parents=(a,))
@@ -379,31 +376,29 @@ def zero_grads(params) -> None:
         p.zero_grad()
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's published defaults
+
+
 @dataclass
 class AdamState:
     """Per-parameter Adam moments plus the shared step counter."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
-def init_adam(params, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    state.m = [np.zeros_like(p.data) for p in params]
-    state.v = [np.zeros_like(p.data) for p in params]
-    return state
+def init_adam(params, lr: float = 1e-3) -> AdamState:
+    """Zero moments for ``params``; the betas and eps are the fixed ADAM_* constants."""
+    return AdamState(lr=lr, m=[np.zeros_like(p.data) for p in params],
+                     v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(params, state: AdamState) -> None:
     """One Adam update with bias correction; caller zeroes grads."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
     for i, p in enumerate(params):
         g = p.grad
@@ -422,6 +417,6 @@ def adam_step(params, state: AdamState) -> None:
         step *= state.lr
         denom = np.divide(v, c2, out=gg)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         step /= denom
         p.data -= step

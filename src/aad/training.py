@@ -157,8 +157,7 @@ def train(model: Model, clips: Iterable[ClipFeatures], cfg: TrainConfig,
     if len(clip_starts) != n_clips:
         raise ContractError(f"{len(clip_starts)} clips for {n_clips} frame counts")
     starts = np.concatenate([clip_starts[i] for i in fit_order])
-    if model.spec.normalize:
-        model.fit_normalization(frames[:fit_rows], starts)
+    model.fit_normalization(frames[:fit_rows], starts)
     inputs = model.input_view(frames)
     val_starts = np.concatenate([clip_starts[i] for i in val_order]) if n_val else None
 

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from aad.cli import CONFIG_FLAGS, RunConfig, main
-from aad.models import _RETIRED_FEATURES, checkpoint_load
+from aad.models import _RETIRED_FEATURES, _RETIRED_SPEC, checkpoint_load
 
 DATASET_CMDS = ("features", "train", "score", "eval", "embed")
 FEATURE_CMDS = (*DATASET_CMDS, "stream")
@@ -49,7 +49,6 @@ READERS = {
     "model.tcn_layers": (3, ("train",)),
     "model.kernel": (2, ("train",)),
     "model.tcn_channels": (16, ("train",)),
-    "model.normalize": (False, ("train",)),
     "train.epochs": (2, ("train",)),
     "train.batch_size": (4, ("train",)),
     "train.lr": (0.01, ("train",)),
@@ -59,9 +58,9 @@ READERS = {
     "embed.iterations": (20, ("embed",)),
 }
 # keys that no longer exist (the loss follows the model kind; the t-SNE
-# schedule, the mel band, its knee and the power floor are fixed) -> (a value
-# they once took, the type they had, the commands that read them); a feature
-# key's value is the one checkpoints may still hold it at
+# schedule, the mel band, its knee, the power floor and input normalization are
+# fixed) -> (a value they once took, the type they had, the commands that read
+# them); a feature or model key's value is the one checkpoints may still hold it at
 REMOVED = {
     "train.loss": ("vae", str, ("train",)),
     "embed.learning_rate": (100.0, float, ("embed",)),
@@ -75,6 +74,7 @@ REMOVED = {
     "features.log_floor": (1e-10, float, FEATURE_CMDS),
     "features.mel_break_hz": (700.0, float, FEATURE_CMDS),
     "features.slaney_norm": (False, bool, FEATURE_CMDS),
+    "model.normalize": (True, bool, ("train",)),
 }
 # facts held by more than one config type, settable only at their home
 SHARED = {"model.seed", "model.n_mels", "model.context_frames", "train.seed", "embed.seed"}
@@ -254,6 +254,11 @@ def test_wrong_type_is_one_line_error(world, tmp_path, key, bad):
 def test_removed_feature_keys_are_the_fields_checkpoints_may_hold():
     assert {key.partition(".")[2]: value for key, (value, _, _) in REMOVED.items()
             if key.startswith("features.")} == _RETIRED_FEATURES
+
+
+def test_removed_model_keys_are_the_fields_checkpoints_may_hold():
+    assert {key.partition(".")[2]: value for key, (value, _, _) in REMOVED.items()
+            if key.startswith("model.")} == _RETIRED_SPEC
 
 
 def test_removed_pauc_ceil_flag_is_usage_error(world, tmp_path, capsys):

@@ -1,5 +1,7 @@
+import json
 import struct
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +28,23 @@ from aad.models import (
 from aad.tensor import Tensor, adam_step, backward, init_adam, zero_grads
 from conftest import (assert_grads_close, finite_diff_grad, reseal, with_contract,
                       write_version_1, write_with_retired_features)
+
+
+# the ModelSpec fields each kind reads, besides its kind and the seed of its init
+READS = {
+    "dense_ae": {"n_mels", "context_frames", "hidden", "bottleneck"},
+    "cae": {"n_mels", "window_frames", "window_hop", "conv_channels", "latent_dim", "kernel"},
+    "cvae": {"n_mels", "window_frames", "window_hop", "conv_channels", "latent_dim", "kernel"},
+    "tcn_cvae": {"n_mels", "window_frames", "window_hop", "latent_dim", "tcn_layers", "kernel",
+                 "tcn_channels"},
+}
+# a small spec, and another valid value of each of its fields
+SPEC_FIELDS = dict(n_mels=8, context_frames=3, window_frames=16, window_hop=8, hidden=(16,),
+                   bottleneck=4, conv_channels=(4, 8), latent_dim=6, tcn_layers=2, kernel=3,
+                   tcn_channels=8)
+CHANGED = dict(n_mels=6, context_frames=2, window_frames=32, window_hop=4, hidden=(12,),
+               bottleneck=3, conv_channels=(4, 4), latent_dim=5, tcn_layers=3, kernel=5,
+               tcn_channels=10)
 
 
 def feature_matrix(frames=40, dims=16, seed=0):
@@ -97,9 +116,21 @@ class TestBuild:
         with pytest.raises(SpecError):
             ModelSpec(kind="transformer")
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("field", sorted(CHANGED))
+    def test_a_kind_reads_exactly_its_fields(self, kind, field):
+        # cae/cvae built k=3 convolutions whatever their kernel said
+        def layout(**change):
+            model = build(ModelSpec(kind=kind, **{**SPEC_FIELDS, **change}))
+            return [p.shape for p in model.params], model.input_starts(200).tolist()
+        assert (layout(**{field: CHANGED[field]}) != layout()) == (field in READS[kind])
+
+    def test_the_field_table_covers_every_field(self):
+        assert set(SPEC_FIELDS) == set(CHANGED) == {f.name for f in fields(ModelSpec)} - {
+            "kind", "seed"}
+
     @pytest.mark.parametrize("field,value", [("n_mels", 1.5), ("n_mels", True),
-                                             ("hidden", (128.0,)), ("normalize", 1),
-                                             ("window_hop", "16")])
+                                             ("hidden", (128.0,)), ("window_hop", "16")])
     def test_field_of_wrong_type_rejected(self, field, value):
         with pytest.raises(SpecError, match=field):
             ModelSpec(kind="dense_ae", **{field: value})
@@ -567,6 +598,42 @@ class TestCheckpoint:
         write_with_retired_features(path, **{key: value})
         with pytest.raises(FormatError, match=f"bad header: features.{key} is {value!r}"):
             checkpoint_load(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_file_whose_spec_holds_normalize_true_loads(self, tmp_path, version):
+        # every file written while ModelSpec had the field holds it at true
+        model = self._small_model("tcn_cvae")
+        model.set_normalization(np.full(8, -40.0), np.full(8, 9.0))
+        path = tmp_path / "m.aadm"
+        checkpoint_save(model, path)
+        reseal(path, lambda header: header["spec"].update(normalize=True))
+        if version == 1:
+            write_version_1(path)
+        assert b'"normalize": true' in path.read_bytes()
+        back = checkpoint_load(path)
+        assert back.spec == model.spec
+        assert [p.data.tobytes() for p in back.params] == [p.data.tobytes()
+                                                            for p in model.params]
+        assert (back.feature_mean.tobytes(), back.feature_std.tobytes()) == \
+            (model.feature_mean.tobytes(), model.feature_std.tobytes())
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("value", [False, 1, "yes"])
+    def test_spec_normalize_at_another_value_is_format_error(self, tmp_path, version, value):
+        path = tmp_path / "m.aadm"
+        checkpoint_save(self._small_model(), path)
+        reseal(path, lambda header: header["spec"].update(normalize=value))
+        if version == 1:
+            write_version_1(path)
+        with pytest.raises(FormatError, match=f"bad header: spec.normalize is {value!r}"):
+            checkpoint_load(path)
+
+    def test_saved_header_holds_no_retired_spec_field(self, tmp_path):
+        path = tmp_path / "m.aadm"
+        checkpoint_save(self._small_model(), path)
+        raw = path.read_bytes()
+        hlen, = struct.unpack_from("<I", raw, 8)
+        assert "normalize" not in json.loads(raw[12:12 + hlen])["spec"]
 
     @pytest.mark.parametrize("where", ["param", "mean", "std"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])

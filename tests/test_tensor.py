@@ -6,6 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from aad.errors import ContractError, ShapeError
 from aad.tensor import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Tensor,
     adam_step,
@@ -458,7 +461,7 @@ class TestAdam:
 def adam_step_reference(params, state):
     """The out-of-place Adam formula, kept as the bit-level oracle."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, p in enumerate(params):
         g = p.grad
         if g is None:
@@ -467,7 +470,7 @@ def adam_step_reference(params, state):
         state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
         m_hat = state.m[i] / (1 - b1 ** state.t)
         v_hat = state.v[i] / (1 - b2 ** state.t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class TestAdamInPlace:

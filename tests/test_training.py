@@ -8,7 +8,7 @@ from aad.audio_io import ANOMALY, NORMAL, SynthConfig, synth_generate
 from aad.errors import ConfigError, ContractError, DivergenceError, SemiSupervisionError
 from aad.features import (ClipFeatures, FeatureConfig, FeatureMatrix, dataset_features,
                           dataset_frame_counts, log_mel)
-from aad.models import build, default_spec, vae_loss
+from aad.models import _STATS_ROWS, build, default_spec, vae_loss
 from aad.tensor import Tensor, adam_step, backward, init_adam, zero_grads
 from aad.training import (
     TrainConfig,
@@ -185,6 +185,24 @@ class TestFrameMatrix:
 
 
 class TestMemory:
+    def test_normalization_fit_holds_one_float64_chunk(self):
+        """``fit_normalization`` over 512-mel frames peaks at one float64 chunk of
+        them plus small slack: it squares each chunk in place and drops it before
+        reading the next. Holding two chunks and a squared copy peaked at twice that."""
+        n_mels = FeatureConfig().n_mels
+        model = build(default_spec("dense_ae", n_mels=n_mels, context_frames=1,
+                                   hidden=(8,), bottleneck=2))
+        frames = np.random.default_rng(0).normal(size=(3456, n_mels)).astype(np.float32)
+        starts = model.input_starts(len(frames))
+        chunk = _STATS_ROWS * n_mels * 8
+        tracemalloc.start()
+        try:
+            model.fit_normalization(frames, starts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= chunk + chunk // 8
+
     def test_peak_allocation_is_frames_batch_and_optimizer_state(self):
         """At the default features (512 mels, P=11), ``train`` allocates at most
         twice the sum of the frames, one batch and four copies of the parameters
@@ -214,7 +232,7 @@ class TestMemory:
                                                      duration_s=1.0, seed=2))
         cfg = FeatureConfig()  # 512 mels
         model = build(default_spec("dense_ae", n_mels=cfg.n_mels, context_frames=1,
-                                   hidden=(8,), bottleneck=2, normalize=False))
+                                   hidden=(8,), bottleneck=2))
         counts, _ = dataset_frame_counts(index, cfg)
         frame_bytes = sum(counts) * cfg.n_mels * 4
         clip = index.read(index.entries[0])
